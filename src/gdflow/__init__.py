@@ -10,20 +10,18 @@ solution.
 
 from .mesh import CartesianGrid, TriangularMesh, DualMesh, build_cartesian, \
     build_structured_triangulation, build_dual, load_mesh, save_mesh
-from .gd import GradientDiscretisation, TimeGrid, scheme_a, scheme_b
+from .gd import GradientDiscretisation, scheme_a, scheme_b
 from .physics import ViscosityModel, MobilityTensor, DispersionParams, \
-    SourceModel, AnalyticalRadialSolution, viscosity, tensor_D, tensor_Dh, \
-    truncate, psi
+    SourceModel, AnalyticalRadialSolution, viscosity, truncate, psi
 from .sim import RunConfig, ErrorReport, run_coupled, error_norms, \
     convergence_suite
 
 __all__ = [
     "CartesianGrid", "TriangularMesh", "DualMesh", "build_cartesian",
     "build_structured_triangulation", "build_dual", "load_mesh", "save_mesh",
-    "GradientDiscretisation", "TimeGrid", "scheme_a", "scheme_b",
+    "GradientDiscretisation", "scheme_a", "scheme_b",
     "ViscosityModel", "MobilityTensor", "DispersionParams", "SourceModel",
-    "AnalyticalRadialSolution", "viscosity", "tensor_D", "tensor_Dh",
-    "truncate", "psi",
+    "AnalyticalRadialSolution", "viscosity", "truncate", "psi",
     "RunConfig", "ErrorReport", "run_coupled", "error_norms",
     "convergence_suite",
 ]

@@ -215,11 +215,9 @@ def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
     C = convection_matrix(gd, U, variant)
     b0 = mass * c_prev / dt + dsrc.chat * dsrc.q_injection
 
+    free = np.ones(gd.ndof, dtype=bool)
     if dirichlet is not None:
-        free = np.ones(gd.ndof, dtype=bool)
         free[dirichlet.dofs] = False
-    else:
-        free = np.ones(gd.ndof, dtype=bool)
     scale = max(float(np.linalg.norm(b0)), 1e-30)
 
     def nonlinear_residual(c):

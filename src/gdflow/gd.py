@@ -1,6 +1,6 @@
 """The gradient-discretisation abstraction: dof space, piecewise-constant
 function reconstruction, piecewise-constant gradient reconstruction,
-pointwise interpolation, the two discrete norms, and its two concrete
+pointwise interpolation, the discrete elliptic norm, and its two concrete
 instantiations (node-centred finite differences, mass-lumped P1).
 """
 
@@ -8,39 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing time levels 0 = t0 < ... < tN = T."""
-
-    t: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        if t[0] != 0.0:
-            raise ValueError("time grid must start at 0")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("time levels must be strictly increasing")
-        object.__setattr__(self, "t", t)
-
-    @property
-    def steps(self):
-        return np.diff(self.t)
-
-    @property
-    def n_steps(self):
-        return len(self.t) - 1
-
-    @property
-    def T(self):
-        return float(self.t[-1])
-
-    @staticmethod
-    def uniform(T, n_steps):
-        if n_steps < 1 or T <= 0:
-            raise ValueError("need T > 0 and at least one step")
-        return TimeGrid(np.linspace(0.0, T, n_steps + 1))
 
 
 @dataclass(frozen=True)
@@ -59,8 +26,7 @@ class GradientDiscretisation:
 
     Both schemes reconstruct functions as one constant per dof (the
     reconstruction cells are in one-to-one correspondence with the dofs), so
-    ``pi_map`` is the identity; it is kept explicit so that norms, assembly
-    and the quality indicators all act on the same operators.
+    the reconstruction Pi is the identity on dof vectors.
 
     ``overlap[g, d]`` is the fraction of gradient cell g on which the
     function reconstruction equals dof d; rows sum to one.  It gives exact
@@ -73,7 +39,6 @@ class GradientDiscretisation:
     anchors: np.ndarray = field(repr=False)         # (ndof, 2)
     recon_measures: np.ndarray = field(repr=False)  # (ndof,)
     grad_measures: np.ndarray = field(repr=False)   # (ngrad,)
-    pi_map: sp.csr_matrix = field(repr=False)       # (ndof, ndof)
     grad_x: sp.csr_matrix = field(repr=False)       # (ngrad, ndof)
     grad_y: sp.csr_matrix = field(repr=False)       # (ngrad, ndof)
     overlap: sp.csr_matrix = field(repr=False)      # (ngrad, ndof)
@@ -88,26 +53,16 @@ class GradientDiscretisation:
         return len(self.grad_measures)
 
     def pi(self, w):
-        return self.pi_map @ w
+        """Reconstructed cell values: one per dof, so ``w`` itself."""
+        return np.asarray(w)
 
     def grad(self, w):
         return np.column_stack([self.grad_x @ w, self.grad_y @ w])
 
-    def ones(self):
-        return np.ones(self.ndof)
-
-    def integral_pi(self, w):
-        """Integral of the reconstructed function over the domain."""
-        return float(self.recon_measures @ self.pi(w))
-
     def norm_ell(self, w):
         g2 = self.grad_measures @ ((self.grad_x @ w) ** 2 + (self.grad_y @ w) ** 2)
-        return float(np.sqrt(g2 + self.integral_pi(w) ** 2))
-
-    def norm_para(self, w):
-        g2 = self.grad_measures @ ((self.grad_x @ w) ** 2 + (self.grad_y @ w) ** 2)
-        p2 = self.recon_measures @ (self.pi(w) ** 2)
-        return float(np.sqrt(g2 + p2))
+        mean = float(self.recon_measures @ self.pi(w))
+        return float(np.sqrt(g2 + mean ** 2))
 
     def interpolate(self, f):
         """Pointwise interpolation: dof_i = f(anchor_i).
@@ -123,11 +78,11 @@ class GradientDiscretisation:
                 + self.grad_y.T @ mg @ self.grad_y).tocsr()
 
     def pi_gram(self):
-        return (self.pi_map.T @ sp.diags(self.recon_measures) @ self.pi_map).tocsr()
+        return sp.diags(self.recon_measures).tocsr()
 
     def mean_vector(self):
         """Vector m with m_i = integral of the i-th reconstruction basis."""
-        return self.pi_map.T @ self.recon_measures
+        return self.recon_measures
 
 
 def _gauss4(x0, x1, y0, y1, cells):
@@ -136,11 +91,9 @@ def _gauss4(x0, x1, y0, y1, cells):
     cy = 0.5 * (y0 + y1)
     dx = 0.5 * (x1 - x0) / np.sqrt(3.0)
     dy = 0.5 * (y1 - y0) / np.sqrt(3.0)
-    pts = []
-    for sx in (-1.0, 1.0):
-        for sy in (-1.0, 1.0):
-            pts.append(np.column_stack([cx + sx * dx, cy + sy * dy]))
-    points = np.concatenate(pts)
+    sx = np.array([-1.0, -1.0, 1.0, 1.0])[:, None]  # corners, y fastest
+    sy = np.array([-1.0, 1.0, -1.0, 1.0])[:, None]
+    points = np.column_stack([(cx + sx * dx).ravel(), (cy + sy * dy).ravel()])
     area = (x1 - x0) * (y1 - y0)
     weights = np.tile(area / 4.0, 4)
     return Quadrature(points=points, weights=weights, cells=np.tile(cells, 4))
@@ -213,7 +166,6 @@ def scheme_a(grid):
     return GradientDiscretisation(
         kind="a", ndof=ndof, anchors=grid.nodes,
         recon_measures=grid.recon_areas, grad_measures=grad_measures,
-        pi_map=sp.identity(ndof, format="csr"),
         grad_x=grad_x, grad_y=grad_y, overlap=overlap,
         h=h, domain_area=grid.L ** 2,
         recon_quad=recon_quad, grad_quad=grad_quad, geometry=grid)
@@ -229,13 +181,9 @@ def scheme_b(mesh, dual):
     nt = mesh.n_triangles
 
     # barycentric gradients: grad(lambda_i) = rot90(opposite edge) / (2A)
-    gx = np.empty((nt, 3))
-    gy = np.empty((nt, 3))
-    for k in range(3):
-        pj = p[:, (k + 1) % 3]
-        pk = p[:, (k + 2) % 3]
-        gx[:, k] = (pj[:, 1] - pk[:, 1]) / (2.0 * areas)
-        gy[:, k] = (pk[:, 0] - pj[:, 0]) / (2.0 * areas)
+    pj, pk = np.roll(p, -1, axis=1), np.roll(p, -2, axis=1)  # next corners
+    gx = (pj[..., 1] - pk[..., 1]) / (2.0 * areas[:, None])
+    gy = (pk[..., 0] - pj[..., 0]) / (2.0 * areas[:, None])
     rows = np.repeat(np.arange(nt), 3)
     cols = tri.ravel()
     grad_x = sp.csr_matrix((gx.ravel(), (rows, cols)), shape=(nt, ndof))
@@ -247,18 +195,14 @@ def scheme_b(mesh, dual):
     h = float(np.sqrt((edges ** 2).sum(axis=2)).max())
 
     # edge midpoints: exact for P2, and each lies in one dual-cell third
-    mids = 0.5 * (p + np.roll(p, -1, axis=1))  # (nt, 3, 2)
+    mids = 0.5 * (p + pj)  # (nt, 3, 2)
     grad_quad = Quadrature(points=mids.reshape(-1, 2),
                            weights=np.repeat(areas / 3.0, 3),
                            cells=np.repeat(np.arange(nt), 3))
 
     # one point per (triangle, vertex) third of the dual cell
     centroid = p.mean(axis=1)  # (nt, 2)
-    sub_pts = np.empty((nt, 3, 2))
-    for k in range(3):
-        m1 = 0.5 * (p[:, k] + p[:, (k + 1) % 3])
-        m2 = 0.5 * (p[:, k] + p[:, (k + 2) % 3])
-        sub_pts[:, k] = (p[:, k] + m1 + m2 + centroid) / 4.0
+    sub_pts = (p + mids + 0.5 * (p + pk) + centroid[:, None]) / 4.0
     recon_quad = Quadrature(points=sub_pts.reshape(-1, 2),
                             weights=np.repeat(areas / 3.0, 3),
                             cells=tri.ravel())
@@ -266,7 +210,6 @@ def scheme_b(mesh, dual):
     return GradientDiscretisation(
         kind="b", ndof=ndof, anchors=mesh.vertices,
         recon_measures=dual.measures, grad_measures=areas,
-        pi_map=sp.identity(ndof, format="csr"),
         grad_x=grad_x, grad_y=grad_y, overlap=overlap,
         h=h, domain_area=float(areas.sum()),
         recon_quad=recon_quad, grad_quad=grad_quad, geometry=(mesh, dual))

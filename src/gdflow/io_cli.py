@@ -92,45 +92,44 @@ def write_diagnostics(path, diagnostics):
 # legacy ASCII VTK
 
 def _scheme_a_polygons(gd):
+    """Reconstruction boxes, counter-clockwise from the lower-left corner."""
     grid = gd.geometry
     coords = np.arange(grid.N + 1) * grid.h
     lo = np.maximum(coords - grid.h / 2.0, 0.0)
     hi = np.minimum(coords + grid.h / 2.0, grid.L)
-    points, polys = [], []
-    for j in range(grid.N + 1):
-        for i in range(grid.N + 1):
-            base = len(points)
-            points.extend([(lo[i], lo[j]), (hi[i], lo[j]),
-                           (hi[i], hi[j]), (lo[i], hi[j])])
-            polys.append([base, base + 1, base + 2, base + 3])
-    return np.array(points), polys
+    x0, y0 = (a.ravel() for a in np.meshgrid(lo, lo))
+    x1, y1 = (a.ravel() for a in np.meshgrid(hi, hi))
+    points = np.stack([x0, y0, x1, y0, x1, y1, x0, y1], axis=1).reshape(-1, 2)
+    return points, np.arange(len(points)).reshape(-1, 4)
 
 
 def _scheme_b_polygons(gd):
+    """Dual cells: the edge midpoints and centroids of the incident triangles
+    (and the vertex itself on the boundary), by angle about their mean."""
     mesh, _ = gd.geometry
     nv = mesh.n_vertices
-    corner_pts = [[] for _ in range(nv)]
-    for tri, centroid in zip(mesh.triangles,
-                             mesh.vertices[mesh.triangles].mean(axis=1)):
-        for k in range(3):
-            v = tri[k]
-            m1 = 0.5 * (mesh.vertices[v] + mesh.vertices[tri[(k + 1) % 3]])
-            m2 = 0.5 * (mesh.vertices[v] + mesh.vertices[tri[(k + 2) % 3]])
-            corner_pts[v].extend([tuple(m1), tuple(m2), tuple(centroid)])
-    boundary_vertices = set(mesh.boundary_edges().ravel().tolist())
-    points, polys = [], []
-    for v in range(nv):
-        pts = {p for p in corner_pts[v]}
-        if v in boundary_vertices:
-            pts.add(tuple(mesh.vertices[v]))
-        pts = np.array(sorted(pts))
-        centre = pts.mean(axis=0)
-        order = np.argsort(np.arctan2(pts[:, 1] - centre[1],
-                                      pts[:, 0] - centre[0]))
-        base = len(points)
-        points.extend(pts[order].tolist())
-        polys.append(list(range(base, base + len(pts))))
-    return np.array(points), polys
+    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    centroid = np.broadcast_to(p.mean(axis=1)[:, None], p.shape)
+    # per (triangle, corner): the midpoints towards the next two corners
+    m1 = 0.5 * (p + np.roll(p, -1, axis=1))
+    m2 = 0.5 * (p + np.roll(p, -2, axis=1))
+    boundary = np.unique(mesh.boundary_edges())
+    owner = np.concatenate([np.repeat(mesh.triangles.ravel(), 3), boundary])
+    pts = np.concatenate([np.stack([m1, m2, centroid], axis=2).reshape(-1, 2),
+                          mesh.vertices[boundary]])
+    # drop repeated points; the rest keep the (x, y) order the centre sums in
+    order = np.lexsort((pts[:, 1], pts[:, 0], owner))
+    owner, pts = owner[order], pts[order]
+    distinct = np.ones(len(pts), dtype=bool)
+    distinct[1:] = (owner[1:] != owner[:-1]) | np.any(pts[1:] != pts[:-1], axis=1)
+    owner, pts = owner[distinct], pts[distinct]
+    counts = np.bincount(owner, minlength=nv)
+    cx = np.bincount(owner, weights=pts[:, 0], minlength=nv) / counts
+    cy = np.bincount(owner, weights=pts[:, 1], minlength=nv) / counts
+    angle = np.arctan2(pts[:, 1] - cy[owner], pts[:, 0] - cx[owner])
+    points = pts[np.lexsort((angle, owner))]
+    polys = np.split(np.arange(len(points)), np.cumsum(counts)[:-1])
+    return points, polys
 
 
 def dof_velocity(gd, U):
@@ -138,9 +137,7 @@ def dof_velocity(gd, U):
     reconstruction cell."""
     mg = gd.grad_measures
     weights = gd.overlap.T @ mg
-    vx = (gd.overlap.T @ (mg * U[:, 0])) / weights
-    vy = (gd.overlap.T @ (mg * U[:, 1])) / weights
-    return np.column_stack([vx, vy])
+    return (gd.overlap.T @ (mg[:, None] * U)) / weights[:, None]
 
 
 def write_vtk(gd, scalar_fields, path, velocity=None):
@@ -163,25 +160,19 @@ def write_vtk(gd, scalar_fields, path, velocity=None):
         f.write("# vtk DataFile Version 3.0\n")
         f.write("gdflow fields\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {len(points)} double\n")
-        for x, y in points:
-            f.write(f"{x:.9g} {y:.9g} 0\n")
+        np.savetxt(f, points, fmt="%.9g %.9g 0")
         size = sum(len(p) + 1 for p in polys)
         f.write(f"CELLS {len(polys)} {size}\n")
-        for p in polys:
-            f.write(" ".join(map(str, [len(p), *p])) + "\n")
+        f.writelines(f"{len(p)} {' '.join(map(str, p))}\n" for p in polys)
         f.write(f"CELL_TYPES {len(polys)}\n")
-        for p in polys:
-            f.write("9\n" if len(p) == 4 else "7\n")
+        f.writelines("9\n" if len(p) == 4 else "7\n" for p in polys)
         f.write(f"CELL_DATA {len(polys)}\n")
         for name, values in scalar_fields.items():
             f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for v in np.asarray(values, dtype=float):
-                f.write(f"{v:.9g}\n")
+            np.savetxt(f, np.asarray(values, dtype=float), fmt="%.9g")
         if velocity is not None:
-            vel = dof_velocity(gd, velocity)
             f.write("VECTORS velocity double\n")
-            for vx, vy in vel:
-                f.write(f"{vx:.9g} {vy:.9g} 0\n")
+            np.savetxt(f, dof_velocity(gd, velocity), fmt="%.9g %.9g 0")
 
 
 def validate_vtk(path):

@@ -16,7 +16,7 @@ DENSE_FALLBACK_MAX = 2000
 
 
 class SolverError(RuntimeError):
-    """Iterative solver failed to reach the requested residual."""
+    """A linear solve failed: non-finite data, singular matrix or residual."""
 
     def __init__(self, message, residual=None):
         self.residual = residual
@@ -27,6 +27,13 @@ def _as_csr(A):
     if not sp.issparse(A):
         raise TypeError("expected a sparse matrix")
     return A.tocsr()
+
+
+def _rhs_norm(b):
+    bnorm = np.linalg.norm(b)
+    if not np.isfinite(bnorm):
+        raise SolverError("right-hand side has non-finite entries")
+    return bnorm
 
 
 def residual_norm(A, x, b, rank_one=None):
@@ -46,7 +53,7 @@ def solve_spd(A, b, rank_one=None, tol=DEFAULT_TOL, maxiter=None):
     A = _as_csr(A)
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
-    bnorm = np.linalg.norm(b)
+    bnorm = _rhs_norm(b)
     if bnorm == 0.0:
         return np.zeros(n)
     if maxiter is None:
@@ -68,7 +75,7 @@ def solve_spd(A, b, rank_one=None, tol=DEFAULT_TOL, maxiter=None):
     x, info = spla.cg(op, b, rtol=tol * 0.5, atol=0.0, maxiter=maxiter,
                       M=precond)
     res = residual_norm(A, x, b, rank_one=rank_one)
-    if res > tol * bnorm:
+    if not res <= tol * bnorm:
         raise SolverError(
             f"conjugate gradients stalled (info={info}): "
             f"residual {res:.3e} > {tol:.1e} * ||b|| = {tol * bnorm:.3e}",
@@ -105,7 +112,7 @@ def solve_general(A, b, tol=DEFAULT_TOL, maxiter=None):
     else:
         x = spla.splu(A.tocsc()).solve(b)
     res = residual_norm(A, x, b)
-    if res > tol * bnorm:
+    if not res <= tol * bnorm:
         raise SolverError(
             f"direct fallback residual {res:.3e} > {tol * bnorm:.3e}",
             residual=res)
@@ -136,15 +143,19 @@ class FactorizationCache:
     def solve(self, A, b):
         A = _as_csr(A)
         b = np.asarray(b, dtype=float)
+        bnorm = _rhs_norm(b)
         key = _matrix_key(A)
         if key != self._key:
-            self._lu = spla.splu(A.tocsc())
+            try:
+                self._lu = spla.splu(A.tocsc())
+            except RuntimeError as exc:
+                raise SolverError(f"sparse LU factorisation failed: {exc}") \
+                    from exc
             self._key = key
             self.factorizations += 1
         x = self._lu.solve(b)
-        bnorm = np.linalg.norm(b)
         res = residual_norm(A, x, b)
-        if bnorm > 0.0 and res > self.tol * bnorm:
+        if not res <= self.tol * bnorm:
             raise SolverError(
                 f"factorised solve residual {res:.3e} > {self.tol * bnorm:.3e}",
                 residual=res)

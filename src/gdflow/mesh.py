@@ -47,9 +47,6 @@ class CartesianGrid:
     def n_squares(self):
         return self.N ** 2
 
-    def node_index(self, i, j):
-        return i + j * (self.N + 1)
-
 
 def build_cartesian(N, L):
     """Build the node-centred Cartesian grid with N cells per side on (0, L)^2."""
@@ -87,8 +84,8 @@ class TriangularMesh:
 
     def boundary_edges(self):
         """Edges incident to exactly one triangle, as (i, j) vertex pairs."""
-        counts = _edge_counts(self.triangles)
-        return np.array([e for e, c in counts.items() if c == 1], dtype=int)
+        edges, counts = _unique_edges(self.triangles)
+        return edges[counts == 1]
 
 
 @dataclass(frozen=True)
@@ -107,13 +104,12 @@ def _signed_areas(vertices, triangles):
                   - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
 
 
-def _edge_counts(triangles):
-    counts = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def _unique_edges(triangles):
+    """Edges as sorted vertex pairs (i < j) and how many triangles share each."""
+    pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    n = int(pairs.max(initial=0)) + 1  # one integer key per pair
+    keys, counts = np.unique(pairs[:, 0] * n + pairs[:, 1], return_counts=True)
+    return np.column_stack(np.divmod(keys, n)), counts
 
 
 def validate_mesh(mesh, rel_tol=1e-12, area=None):
@@ -125,10 +121,11 @@ def validate_mesh(mesh, rel_tol=1e-12, area=None):
         bad = int(np.argmax(areas <= 0))
         raise MeshError(f"triangle {bad} is inverted or degenerate "
                         f"(signed area {areas[bad]:.3e})")
-    counts = _edge_counts(mesh.triangles)
-    for edge, c in counts.items():
-        if c > 2:
-            raise MeshError(f"edge {edge} shared by {c} triangles")
+    edges, counts = _unique_edges(mesh.triangles)
+    if np.any(counts > 2):
+        k = int(np.argmax(counts > 2))
+        raise MeshError(f"edge {tuple(edges[k].tolist())} shared by "
+                        f"{counts[k]} triangles")
     if area is not None:
         total = areas.sum()
         if abs(total - area) > rel_tol * area:
@@ -136,43 +133,36 @@ def validate_mesh(mesh, rel_tol=1e-12, area=None):
     return mesh
 
 
-def build_structured_triangulation(reps, L, pattern="crisscross"):
+def build_structured_triangulation(reps, L):
     """Triangulate (0, L)^2 by replicating a fixed 2x2-block base pattern.
 
     ``reps`` copies of the base pattern per side give 2*reps square blocks
-    per side, each split into two triangles.  With ``pattern="crisscross"``
-    the diagonal direction alternates with block parity; ``"uniform"`` uses
-    the same diagonal everywhere.
+    per side, each split into two triangles along a diagonal whose direction
+    alternates with block parity (criss-cross).  Triangles are numbered
+    block by block, i fastest, two per block.
     """
     if reps < 1:
         raise MeshError(f"replication count must be >= 1, got {reps}")
     if L <= 0:
         raise MeshError(f"side length must be positive, got L={L}")
-    if pattern not in ("crisscross", "uniform"):
-        raise MeshError(f"unknown pattern {pattern!r}")
     n = 2 * reps
     h = L / n
     coords = np.arange(n + 1) * h
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return i + j * (n + 1)
-
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if pattern == "uniform" or (i + j) % 2 == 0:
-                # diagonal from (i, j) to (i+1, j+1)
-                triangles.append((v00, v10, v11))
-                triangles.append((v00, v11, v01))
-            else:
-                # diagonal from (i+1, j) to (i, j+1)
-                triangles.append((v00, v10, v01))
-                triangles.append((v10, v11, v01))
-    mesh = TriangularMesh(vertices=vertices, triangles=np.array(triangles, dtype=int))
+    j, i = np.divmod(np.arange(n * n), n)  # blocks, i fastest
+    v00 = i + j * (n + 1)
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    even = ((i + j) % 2 == 0)[:, None]
+    # even blocks: diagonal from (i, j) to (i+1, j+1);
+    # odd blocks: diagonal from (i+1, j) to (i, j+1)
+    first = np.where(even, np.column_stack([v00, v10, v11]),
+                     np.column_stack([v00, v10, v01]))
+    second = np.where(even, np.column_stack([v00, v11, v01]),
+                      np.column_stack([v10, v11, v01]))
+    triangles = np.stack([first, second], axis=1).reshape(-1, 3)
+    mesh = TriangularMesh(vertices=vertices, triangles=triangles)
     return validate_mesh(mesh, area=L * L)
 
 
@@ -248,8 +238,6 @@ def save_mesh(mesh, path):
     """Write the plain-text format read by :func:`load_mesh`."""
     with open(path, "w") as f:
         f.write(f"vertices {mesh.n_vertices}\n")
-        for x, y in mesh.vertices:
-            f.write(f"{x:.17g} {y:.17g}\n")
+        np.savetxt(f, mesh.vertices, fmt="%.17g")
         f.write(f"triangles {mesh.n_triangles}\n")
-        for i, j, k in mesh.triangles:
-            f.write(f"{i} {j} {k}\n")
+        np.savetxt(f, mesh.triangles, fmt="%d")

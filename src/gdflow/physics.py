@@ -25,10 +25,10 @@ class ViscosityModel:
     M: float = 1.0
 
     def __post_init__(self):
-        if self.mu0 <= 0:
-            raise ValueError(f"mu0 must be positive, got {self.mu0}")
-        if self.M < 1:
-            raise ValueError(f"mobility ratio must be >= 1, got {self.M}")
+        if not (np.isfinite(self.mu0) and self.mu0 > 0):
+            raise ValueError(f"mu0 must be finite, > 0, got {self.mu0}")
+        if not (np.isfinite(self.M) and self.M >= 1):
+            raise ValueError(f"mobility ratio must be finite, >= 1, got {self.M}")
 
 
 def viscosity(model, c):
@@ -45,18 +45,12 @@ class MobilityTensor:
     viscosity_model: ViscosityModel = field(default_factory=ViscosityModel)
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError(f"permeability must be positive, got {self.k}")
+        if not (np.isfinite(self.k) and self.k > 0):
+            raise ValueError(f"permeability must be finite, > 0, got {self.k}")
 
     def scalar(self, c):
         """The scalar k / mu(c) multiplying the identity."""
         return self.k / viscosity(self.viscosity_model, c)
-
-    def bounds(self):
-        """Ellipticity bounds over c in [0, 1]."""
-        lo = self.k / self.viscosity_model.mu0
-        hi = lo * self.viscosity_model.M
-        return min(lo, hi), max(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -72,8 +66,10 @@ class DispersionParams:
     def __post_init__(self):
         if not (0.0 < self.phi <= 1.0):
             raise ValueError(f"porosity must lie in (0, 1], got {self.phi}")
-        if min(self.dm, self.dl, self.dt_) < 0:
-            raise ValueError("diffusion/dispersion coefficients must be >= 0")
+        coeffs = np.array([self.dm, self.dl, self.dt_], dtype=float)
+        if not np.all(np.isfinite(coeffs) & (coeffs >= 0)):
+            raise ValueError(
+                "diffusion/dispersion coefficients must be finite and >= 0")
 
     @property
     def D_m(self):
@@ -86,32 +82,6 @@ class DispersionParams:
     @property
     def D_t(self):
         return self.phi * self.dt_
-
-
-def tensor_D(params, u):
-    """Diffusion-dispersion tensor for a single velocity; 2x2 symmetric.
-
-    The mechanical dispersion part |u| (D_l E(u) + D_t (I - E(u))) is taken
-    to vanish at u = 0, its continuous limit.
-    """
-    u = np.asarray(u, dtype=float)
-    Dm, Dl, Dt = params.D_m, params.D_l, params.D_t
-    norm = float(np.hypot(u[0], u[1]))
-    if norm == 0.0:
-        return np.array([[Dm, 0.0], [0.0, Dm]])
-    e = np.outer(u, u) / norm ** 2
-    return Dm * np.eye(2) + norm * (Dl * e + Dt * (np.eye(2) - e))
-
-
-def tensor_Dh(params, u, h):
-    """Stabilised tensor: diagonal entries raised to at least |u| * h."""
-    if h <= 0:
-        raise ValueError(f"mesh size must be positive, got {h}")
-    D = tensor_D(params, u)
-    norm = float(np.hypot(u[0], u[1]))
-    D[0, 0] = max(D[0, 0], norm * h)
-    D[1, 1] = max(D[1, 1], norm * h)
-    return D
 
 
 def tensor_D_field(params, U, h=None):
@@ -165,19 +135,6 @@ def psi(z, N):
         v = (zz / (N - k)) * (v + ez)
     out[ok] = np.minimum(v + ez, 1.0)
     return float(out[0]) if scalar else out
-
-
-def psi_direct(z, N):
-    """Independent partial-sum evaluation of the same profile (oracle)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    for k in range(1, N + 1):
-        term = term * z / k
-        total = total + term
-    with np.errstate(under="ignore"):
-        out = np.exp(-z) * total
-    return out if out.size > 1 else float(out[0])
 
 
 @dataclass(frozen=True)

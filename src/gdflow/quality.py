@@ -67,7 +67,7 @@ def consistency_defect(gd, f, grad_f):
     f_vals = np.asarray(f(rq.points), dtype=float)
     g_vals = np.asarray(grad_f(gq.points), dtype=float)
 
-    rhs_pi = gd.pi_map.T @ _cell_integrals(rq, f_vals, gd.ndof)
+    rhs_pi = _cell_integrals(rq, f_vals, gd.ndof)
     rhs_gx = gd.grad_x.T @ _cell_integrals(gq, g_vals[:, 0], gd.n_grad_cells)
     rhs_gy = gd.grad_y.T @ _cell_integrals(gq, g_vals[:, 1], gd.n_grad_cells)
     A = (gd.pi_gram() + gd.grad_gram()).tocsr()
@@ -113,7 +113,7 @@ def limit_conformity_defect(gd, phi, div_phi):
     div_vals = np.asarray(div_phi(rq.points), dtype=float)
     ell = (gd.grad_x.T @ _cell_integrals(gq, phi_vals[:, 0], gd.n_grad_cells)
            + gd.grad_y.T @ _cell_integrals(gq, phi_vals[:, 1], gd.n_grad_cells)
-           + gd.pi_map.T @ _cell_integrals(rq, div_vals, gd.ndof))
+           + _cell_integrals(rq, div_vals, gd.ndof))
     if not np.any(ell):
         return 0.0
     x = _ell_solve(gd, ell)

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import assembly, linalg
 from .assembly import DirichletBC, discretize_sources
-from .gd import TimeGrid, scheme_a, scheme_b
+from .gd import scheme_a, scheme_b
 from .mesh import build_cartesian, build_dual, build_structured_triangulation, \
     load_mesh
 from .physics import AnalyticalRadialSolution, DispersionParams, \
@@ -68,8 +68,10 @@ class RunConfig:
                    ("t_final", "m_ratio", "dm", "dl", "dt_disp", "phi", "perm")
                    if getattr(self, k) is None}
         cfg = replace(self, **updates)
-        if cfg.dt is None or cfg.dt <= 0:
-            raise ConfigError("a positive time step dt is required")
+        if cfg.dt is None or not (np.isfinite(cfg.dt) and cfg.dt > 0):
+            raise ConfigError("a positive finite time step dt is required")
+        if not np.isfinite(cfg.t_final):
+            raise ConfigError(f"t_final must be finite, got {cfg.t_final}")
         n_steps = round(cfg.t_final / cfg.dt)
         if n_steps < 1 or abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.t_final:
             raise ConfigError(
@@ -199,7 +201,7 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
     if problem is None:
         problem = build_problem(config)
     gd = problem.gd
-    tg = TimeGrid.uniform(config.t_final, config.n_steps)
+    levels = np.linspace(0.0, config.t_final, config.n_steps + 1)
 
     if c0 is None:
         c = np.zeros(gd.ndof)
@@ -215,12 +217,11 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
     start = time.perf_counter()
     p = np.zeros(gd.ndof)
     U = np.zeros((gd.n_grad_cells, 2))
-    t = 0.0
     neumann = problem.dirichlet_dofs is None
 
-    for n in range(tg.n_steps):
-        dt = tg.steps[n]
-        t_next = tg.t[n + 1]
+    for n in range(config.n_steps):
+        t_next = levels[n + 1]
+        dt = t_next - levels[n]
         try:
             if cached_pressure is None:
                 p, U, p_info = assembly.solve_pressure(
@@ -245,6 +246,7 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
             "pressure_rhs_norm": p_info["rhs_norm"],
             "picard_iters": t_info["picard_iters"],
             "picard_residual": t_info["picard_residual"],
+            "picard_relative": t_info["picard_relative"],
             "cmin": float(gd.pi(c).min()),
             "cmax": float(gd.pi(c).max()),
             "mass_residual": (assembly.mass_balance_residual(
@@ -252,10 +254,9 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
                 if neumann else float("nan")),
         }
         diagnostics.append(row)
-        t = t_next
         if snapshot_cb is not None and config.vtk_every > 0 \
                 and (n + 1) % config.vtk_every == 0:
-            snapshot_cb(n + 1, t, State(gd=gd, p=p, c=c, U=U, t=t))
+            snapshot_cb(n + 1, t_next, State(gd=gd, p=p, c=c, U=U, t=t_next))
 
     wall = time.perf_counter() - start
     if problem.exact is not None:
@@ -264,20 +265,17 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
         l1 = l2 = float("nan")
     report = ErrorReport(l1=l1, l2=l2, diagnostics=diagnostics,
                          wall_time=wall)
-    return State(gd=gd, p=p, c=c, U=U, t=t), report
+    return State(gd=gd, p=p, c=c, U=U, t=levels[-1]), report
 
 
 def convergence_suite(test, scheme, variant, levels):
     """Run one table column: ``levels`` pairs a mesh parameter with a time
     step; returns one row dict per level with inter-level L1 ratios."""
     rows = []
+    size_field = "n" if scheme == "a" else "reps"
     for mesh_param, dt in levels:
-        if scheme == "a":
-            config = RunConfig(test=test, scheme="a", variant=variant,
-                               n=mesh_param, dt=dt)
-        else:
-            config = RunConfig(test=test, scheme="b", variant=variant,
-                               reps=mesh_param, dt=dt)
+        config = RunConfig(test=test, scheme=scheme, variant=variant, dt=dt,
+                           **{size_field: mesh_param})
         _, report = run_coupled(config)
         rows.append({
             "scheme": scheme, "variant": variant,

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from gdflow.gd import TimeGrid, scheme_a, scheme_b
+from gdflow import gd as gd_module
+from gdflow.gd import scheme_a, scheme_b
 from gdflow.mesh import (
     TriangularMesh,
     build_cartesian,
     build_dual,
     build_structured_triangulation,
 )
+
+from oracles import loop_dual_subpoints, loop_gauss4_points, loop_p1_gradients
 
 
 def make_a(n=3, L=1.0):
@@ -17,22 +20,6 @@ def make_a(n=3, L=1.0):
 def make_b(reps=2, L=1.0):
     mesh = build_structured_triangulation(reps, L)
     return scheme_b(mesh, build_dual(mesh))
-
-
-class TestTimeGrid:
-    def test_uniform(self):
-        tg = TimeGrid.uniform(0.4, 20)
-        assert tg.n_steps == 20
-        assert np.allclose(tg.steps, 0.02)
-        assert tg.T == 0.4
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.1, 0.2]))
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.0, 0.2, 0.1]))
-        with pytest.raises(ValueError):
-            TimeGrid.uniform(-1.0, 3)
 
 
 class TestSchemeAStructure:
@@ -97,36 +84,54 @@ class TestSchemeBStructure:
         assert np.isclose(gd.recon_measures.sum(), 1.0)
         assert np.isclose(gd.grad_measures.sum(), 1.0)
 
+    def test_matches_loop_construction(self):
+        mesh = build_structured_triangulation(3, 1.0)
+        vertices = mesh.vertices.copy()
+        inner = np.all((vertices > 1e-9) & (vertices < 1.0 - 1e-9), axis=1)
+        vertices[inner] += np.random.default_rng(2).uniform(
+            -0.04, 0.04, (int(inner.sum()), 2))
+        mesh = TriangularMesh(vertices=vertices, triangles=mesh.triangles)
+        gd = scheme_b(mesh, build_dual(mesh))
+        rows = np.repeat(np.arange(mesh.n_triangles), 3)
+        for built, ref in zip((gd.grad_x, gd.grad_y), loop_p1_gradients(mesh)):
+            dense = np.zeros((mesh.n_triangles, gd.ndof))
+            dense[rows, mesh.triangles.ravel()] = ref.ravel()
+            assert np.array_equal(built.toarray(), dense)
+        assert np.array_equal(gd.recon_quad.points, loop_dual_subpoints(mesh))
+
+
+def test_gauss4_matches_loop():
+    rng = np.random.default_rng(4)
+    x0, y0 = rng.random(7), rng.random(7)
+    x1, y1 = x0 + rng.random(7), y0 + rng.random(7)
+    quad = gd_module._gauss4(x0, x1, y0, y1, np.arange(7))
+    assert np.array_equal(quad.points, loop_gauss4_points(x0, x1, y0, y1))
+
 
 @pytest.mark.parametrize("gd", [make_a(3), make_b(2)], ids=["a", "b"])
 class TestNorms:
     def test_ones(self, gd):
-        w = gd.ones()
+        w = np.ones(gd.ndof)
         assert np.isclose(gd.norm_ell(w), 1.0)
-        assert np.isclose(gd.norm_para(w), 1.0)
 
     def test_zero(self, gd):
         w = np.zeros(gd.ndof)
         assert gd.norm_ell(w) == 0.0
-        assert gd.norm_para(w) == 0.0
 
     def test_dense_gram_oracle(self, gd):
         rng = np.random.default_rng(42)
         Gx = gd.grad_x.toarray()
         Gy = gd.grad_y.toarray()
-        P = gd.pi_map.toarray()
         Mg = np.diag(gd.grad_measures)
-        Mr = np.diag(gd.recon_measures)
         K = Gx.T @ Mg @ Gx + Gy.T @ Mg @ Gy
-        m = P.T @ gd.recon_measures
+        m = gd.recon_measures
         for _ in range(5):
             w = rng.standard_normal(gd.ndof)
             ell = np.sqrt(w @ K @ w + (m @ w) ** 2)
-            para = np.sqrt(w @ K @ w + w @ (P.T @ Mr @ P) @ w)
             assert np.isclose(gd.norm_ell(w), ell, rtol=1e-12)
-            assert np.isclose(gd.norm_para(w), para, rtol=1e-12)
         assert np.allclose(gd.grad_gram().toarray(), K)
-        assert np.allclose(gd.mean_vector(), m)
+        assert np.array_equal(gd.pi_gram().toarray(), np.diag(m))
+        assert np.array_equal(gd.mean_vector(), m)
 
 
 @pytest.mark.parametrize("make", [make_a, make_b], ids=["a", "b"])

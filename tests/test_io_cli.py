@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gdflow.gd import scheme_a, scheme_b
+from gdflow import io_cli
 from gdflow.io_cli import (
     main,
     parse_config,
@@ -10,8 +11,17 @@ from gdflow.io_cli import (
     write_error_rows,
     write_vtk,
 )
-from gdflow.mesh import build_cartesian, build_dual, build_structured_triangulation
+from gdflow.mesh import (
+    TriangularMesh,
+    build_cartesian,
+    build_dual,
+    build_structured_triangulation,
+    load_mesh,
+    save_mesh,
+)
 from gdflow.sim import ConfigError, RunConfig
+
+from oracles import loop_scheme_a_polygons, loop_scheme_b_polygons
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -126,6 +136,36 @@ class TestVtk:
         with pytest.raises(ValueError):
             validate_vtk(path)
 
+    @staticmethod
+    def assert_same_polygons(built, ref):
+        (points, polys), (ref_points, ref_polys) = built, ref
+        assert np.array_equal(points, ref_points)
+        assert [list(map(int, p)) for p in polys] == ref_polys
+
+    def test_scheme_a_polygons_match_loop(self):
+        gd = scheme_a(build_cartesian(4, 1.0))
+        self.assert_same_polygons(io_cli._scheme_a_polygons(gd),
+                                  loop_scheme_a_polygons(gd.geometry))
+
+    def test_scheme_b_polygons_match_loop(self):
+        mesh = build_structured_triangulation(4, 1.0)
+        gd = scheme_b(mesh, build_dual(mesh))
+        self.assert_same_polygons(io_cli._scheme_b_polygons(gd),
+                                  loop_scheme_b_polygons(mesh))
+
+    def test_irregular_mesh_polygons_match_loop(self, tmp_path):
+        mesh = build_structured_triangulation(3, 1.0)
+        v = mesh.vertices.copy()
+        inner = np.all((v > 1e-9) & (v < 1.0 - 1e-9), axis=1)
+        v[inner] += np.random.default_rng(3).uniform(
+            -0.05, 0.05, (int(inner.sum()), 2))
+        path = tmp_path / "jittered.mesh"
+        save_mesh(TriangularMesh(vertices=v, triangles=mesh.triangles), path)
+        mesh = load_mesh(path)
+        gd = scheme_b(mesh, build_dual(mesh))
+        self.assert_same_polygons(io_cli._scheme_b_polygons(gd),
+                                  loop_scheme_b_polygons(mesh))
+
     def test_independent_parser_cross_check(self, tmp_path):
         # minimal independent reader: walks the legacy-ASCII layout directly
         gd = scheme_a(build_cartesian(3, 1.0))
@@ -151,6 +191,21 @@ class TestVtk:
 class TestCli:
     def test_run_bad_config_exit_1(self, tmp_path, capsys):
         path = write_config(tmp_path, "test=analytic1\nscheme=c\nn=5\ndt=0.02\n")
+        assert main(["run", "--config", str(path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["perm=inf", "dm=nan"])
+    def test_run_non_finite_physics_exit_1(self, tmp_path, capsys, line):
+        path = write_config(
+            tmp_path, f"test=lit2\nscheme=a\nn=4\ndt=18\n{line}\n"
+                      f"out_dir={tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", ["dt=inf", "dt=nan",
+                                       "dt=18\nt_final=inf"])
+    def test_run_non_finite_time_exit_1(self, tmp_path, capsys, lines):
+        path = write_config(tmp_path, f"test=lit2\nscheme=a\nn=4\n{lines}\n")
         assert main(["run", "--config", str(path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 

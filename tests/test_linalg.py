@@ -53,6 +53,16 @@ class TestSolveSpd:
         with pytest.raises(TypeError):
             solve_spd(np.eye(3), np.ones(3))
 
+    def test_non_finite_rhs_raises(self):
+        A = sp.diags([2.0, 4.0, 8.0]).tocsr()
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_spd(A, np.array([1.0, np.nan, 1.0]))
+
+    def test_non_finite_matrix_raises(self):
+        A = sp.diags([2.0, np.nan, 8.0]).tocsr()
+        with pytest.raises(SolverError):
+            solve_spd(A, np.ones(3))
+
 
 class TestSolveGeneral:
     def test_diagonal(self):
@@ -97,6 +107,23 @@ class TestFactorizationCache:
         assert np.allclose(cache.solve(A2, b), 1.0 / 3.0)
         assert np.allclose(cache.solve(A1, b), 0.5)
         assert cache.factorizations == 3
+
+    def test_non_finite_rhs_raises(self):
+        A = sp.diags([2.0, 4.0, 8.0]).tocsr()
+        with pytest.raises(SolverError, match="non-finite"):
+            FactorizationCache().solve(A, np.array([1.0, np.nan, 1.0]))
+
+    def test_non_finite_solution_raises(self):
+        A = sp.diags([2.0, np.inf, 8.0]).tocsr()
+        with pytest.raises(SolverError):
+            FactorizationCache().solve(A, np.ones(3))
+
+    def test_singular_matrix_raises_solver_error(self):
+        A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        cache = FactorizationCache()
+        with pytest.raises(SolverError, match="singular"):
+            cache.solve(A, np.array([1.0, 0.0]))
+        assert cache.factorizations == 0
 
 
 class TestResidualNorm:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gdflow import mesh as mesh_module
 from gdflow.mesh import (
     MeshError,
     MeshParseError,
@@ -12,6 +13,27 @@ from gdflow.mesh import (
     save_mesh,
     validate_mesh,
 )
+
+from oracles import loop_edge_counts, loop_triangles
+
+
+def jittered_mesh_file(tmp_path, reps=3, seed=3):
+    """A ``load_mesh`` round trip of the structured triangulation with its
+    interior vertices moved at random: irregular triangles."""
+    mesh = build_structured_triangulation(reps, 1.0)
+    v = mesh.vertices.copy()
+    inner = np.all((v > 1e-9) & (v < 1.0 - 1e-9), axis=1)
+    h = 1.0 / (2 * reps)
+    v[inner] += np.random.default_rng(seed).uniform(
+        -0.3 * h, 0.3 * h, (int(inner.sum()), 2))
+    path = tmp_path / "jittered.mesh"
+    save_mesh(TriangularMesh(vertices=v, triangles=mesh.triangles), path)
+    return load_mesh(path)
+
+
+def edge_count_map(mesh):
+    edges, counts = mesh_module._unique_edges(mesh.triangles)
+    return {tuple(e): int(c) for e, c in zip(edges.tolist(), counts)}
 
 
 def unit_square_two_triangles():
@@ -36,8 +58,9 @@ class TestCartesianGrid:
         assert np.isclose(grid.recon_areas.sum(), 9.0)
 
     def test_node_index_matches_coordinates(self):
+        # node (i, j) has index i + j (N + 1)
         grid = build_cartesian(4, 2.0)
-        idx = grid.node_index(3, 1)
+        idx = 3 + 1 * (grid.N + 1)
         assert np.allclose(grid.nodes[idx], [3 * grid.h, 1 * grid.h])
 
     @pytest.mark.parametrize("N,L", [(1, 1.0), (0, 1.0), (4, 0.0), (4, -2.0)])
@@ -71,8 +94,13 @@ class TestStructuredTriangulation:
             build_structured_triangulation(0, 1.0)
         with pytest.raises(MeshError):
             build_structured_triangulation(2, -1.0)
-        with pytest.raises(MeshError):
-            build_structured_triangulation(2, 1.0, pattern="nope")
+
+    @pytest.mark.parametrize("reps", [1, 2, 4, 7])
+    def test_matches_loop_builder(self, reps):
+        mesh = build_structured_triangulation(reps, 1.0)
+        ref = loop_triangles(reps)
+        assert mesh.triangles.dtype == ref.dtype
+        assert np.array_equal(mesh.triangles, ref)
 
 
 class TestValidateMesh:
@@ -94,6 +122,32 @@ class TestValidateMesh:
         with pytest.raises(MeshError, match="sum"):
             validate_mesh(unit_square_two_triangles(), area=2.0)
 
+    def test_edge_shared_by_three_triangles(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0]])
+        triangles = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 2]])
+        with pytest.raises(MeshError, match=r"edge \(0, 1\) shared by 3"):
+            validate_mesh(TriangularMesh(vertices=vertices, triangles=triangles))
+
+
+class TestEdges:
+    def test_structured_counts_match_loop(self):
+        for reps in (1, 4):
+            mesh = build_structured_triangulation(reps, 1.0)
+            assert edge_count_map(mesh) == loop_edge_counts(mesh.triangles)
+
+    def test_irregular_counts_match_loop(self, tmp_path):
+        mesh = jittered_mesh_file(tmp_path)
+        assert edge_count_map(mesh) == loop_edge_counts(mesh.triangles)
+
+    def test_boundary_edges_match_loop(self, tmp_path):
+        for mesh in (build_structured_triangulation(4, 1.0),
+                     jittered_mesh_file(tmp_path)):
+            ref = {e for e, c in loop_edge_counts(mesh.triangles).items()
+                   if c == 1}
+            edges = mesh.boundary_edges()
+            assert edges.shape == (len(ref), 2)
+            assert set(map(tuple, edges.tolist())) == ref
+
 
 class TestDualMesh:
     def test_two_triangle_square_measures(self):
@@ -110,14 +164,16 @@ class TestDualMesh:
         dual = build_dual(mesh)
         assert np.allclose(dual.measures, 2.0 / 3.0)
 
-    def test_uniform_pattern_interior_measures_equal(self):
-        mesh = build_structured_triangulation(2, 1.0, pattern="uniform")
-        dual = build_dual(mesh)
+    def test_crisscross_interior_measures(self):
+        # interior vertex (i, j) meets 8 triangles when i + j is even (both
+        # halves of its four blocks), 4 otherwise: 4 h^2 / 3 or 2 h^2 / 3
         n = 4
-        interior = [i + j * (n + 1)
-                    for j in range(1, n) for i in range(1, n)]
-        vals = dual.measures[interior]
-        assert np.allclose(vals, vals[0])
+        h = 1.0 / n
+        dual = build_dual(build_structured_triangulation(2, 1.0))
+        for j in range(1, n):
+            for i in range(1, n):
+                expected = (4.0 if (i + j) % 2 == 0 else 2.0) * h * h / 3.0
+                assert np.isclose(dual.measures[i + j * (n + 1)], expected)
 
     def test_measures_partition_domain(self):
         mesh = build_structured_triangulation(3, 1.0)

@@ -11,14 +11,19 @@ from gdflow.physics import (
     five_spot_sources,
     production_angle,
     psi,
-    psi_direct,
     radial_test_sources,
-    tensor_D,
     tensor_D_field,
-    tensor_Dh,
     truncate,
     viscosity,
 )
+
+from oracles import psi_direct, tensor_D, tensor_Dh
+
+
+def tensor_at(params, u, h=None):
+    """tensor_D_field on the single velocity ``u``, as a 2x2 matrix."""
+    D11, D22, D12 = tensor_D_field(params, np.array([u], dtype=float), h=h)
+    return np.array([[D11[0], D12[0]], [D12[0], D22[0]]])
 
 
 class TestTruncate:
@@ -52,14 +57,26 @@ class TestViscosity:
         with pytest.raises(ValueError):
             ViscosityModel(M=0.5)
 
+    @pytest.mark.parametrize("kwargs", [dict(mu0=np.nan), dict(mu0=np.inf),
+                                        dict(M=np.nan), dict(M=np.inf)])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            ViscosityModel(**kwargs)
+
     def test_mobility_bounds(self):
+        # k / mu(c) runs from k / mu0 at c = 0 to k M / mu0 at c = 1
         mob = MobilityTensor(k=80.0, viscosity_model=ViscosityModel(M=41.0))
-        lo, hi = mob.bounds()
-        assert np.isclose(lo, 80.0)
-        assert np.isclose(hi, 80.0 * 41.0)
+        assert np.isclose(mob.scalar(0.0), 80.0)
+        assert np.isclose(mob.scalar(1.0), 80.0 * 41.0)
         c = np.linspace(0.0, 1.0, 11)
         vals = mob.scalar(c)
-        assert np.all(vals >= lo - 1e-12) and np.all(vals <= hi + 1e-12)
+        assert np.all(np.diff(vals) > 0)
+        assert np.all(vals >= 80.0 - 1e-12) and np.all(vals <= 80.0 * 41.0 + 1e-12)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_mobility_invalid_permeability(self, k):
+        with pytest.raises(ValueError):
+            MobilityTensor(k=k)
 
 
 class TestDispersionTensor:
@@ -67,11 +84,11 @@ class TestDispersionTensor:
         return DispersionParams(phi=1.0, dm=dm, dl=dl, dt_=dt_)
 
     def test_axis_aligned(self):
-        D = tensor_D(self.params(), (1.0, 0.0))
+        D = tensor_at(self.params(), (1.0, 0.0))
         assert np.allclose(D, np.diag([5.0, 0.5]))
 
     def test_hand_example_3_4(self):
-        D = tensor_D(self.params(), (3.0, 4.0))
+        D = tensor_at(self.params(), (3.0, 4.0))
         assert np.allclose(D, [[10.6, 10.8], [10.8, 16.9]])
         # independent matrix-arithmetic oracle
         u = np.array([3.0, 4.0])
@@ -80,7 +97,7 @@ class TestDispersionTensor:
         assert np.allclose(D, oracle)
 
     def test_zero_velocity_is_molecular(self):
-        D = tensor_D(self.params(dm=2.0), (0.0, 0.0))
+        D = tensor_at(self.params(dm=2.0), (0.0, 0.0))
         assert np.allclose(D, 2.0 * np.eye(2))
 
     def test_porosity_scaling(self):
@@ -89,13 +106,13 @@ class TestDispersionTensor:
 
     def test_dh_floor(self):
         p = DispersionParams(phi=1.0, dm=0.0, dl=0.0, dt_=0.0)
-        D = tensor_Dh(p, (1.0, 0.0), 0.02)
+        D = tensor_at(p, (1.0, 0.0), h=0.02)
         assert np.allclose(D, 0.02 * np.eye(2))
 
     def test_dh_zero_velocity(self):
         p = self.params(dm=1.0)
-        assert np.allclose(tensor_Dh(p, (0.0, 0.0), 0.1),
-                           tensor_D(p, (0.0, 0.0)))
+        assert np.allclose(tensor_at(p, (0.0, 0.0), h=0.1),
+                           tensor_at(p, (0.0, 0.0)))
 
     def test_field_matches_single(self):
         p = self.params(dm=0.3)
@@ -123,7 +140,13 @@ class TestDispersionTensor:
         with pytest.raises(ValueError):
             DispersionParams(dm=-1.0)
         with pytest.raises(ValueError):
-            tensor_Dh(self.params(), (1.0, 0.0), 0.0)
+            tensor_D_field(self.params(), np.array([[1.0, 0.0]]), h=0.0)
+
+    @pytest.mark.parametrize("kwargs", [dict(dm=np.nan), dict(dl=np.inf),
+                                        dict(dt_=-np.inf), dict(phi=np.nan)])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            DispersionParams(**kwargs)
 
 
 class TestPsi:
