@@ -1,18 +1,26 @@
-"""Sparse linear solvers for the per-step systems: conjugate gradients for
-the symmetric positive-definite pressure operator (sparse plus an optional
-rank-one term), BiCGStab with an LU fallback for the nonsymmetric transport
-systems, and a factorisation cache for repeated solves with one matrix.
+"""Sparse direct solvers for the per-step systems.
+
+Every system is solved by one sparse LU with a minimum-degree ordering of
+A^T + A, and every solution is checked against an independently recomputed
+residual.  ``spd_solver`` factors once and returns a solve for any number
+of right-hand sides.  Given m, it solves the zero-mean elliptic system
+(A + m m^T) x = b, where A annihilates constants: the last dof is pinned,
+A x0 = b - s m is solved with s = sum(b) / sum(m), and a constant shift
+gives m^T x = s, which holds for every exact solution.
+``FactorizationCache`` keeps the transport factorisation while the
+assembled matrix stays the same.
 """
 
 import hashlib
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DEFAULT_TOL = 1e-10
-DENSE_FALLBACK_MAX = 2000
+# |A 1| relative to the row sums of |A| below which a row counts as
+# annihilating constants
+ZERO_ROW_SUM_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -44,79 +52,66 @@ def residual_norm(A, x, b, rank_one=None):
     return float(np.linalg.norm(r))
 
 
-def solve_spd(A, b, rank_one=None, tol=DEFAULT_TOL, maxiter=None):
-    """Solve (A + m m^T) x = b by Jacobi-preconditioned conjugate gradients.
+def _lu(A):
+    try:
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SolverError(f"sparse LU factorisation failed: {exc}") from exc
 
-    ``rank_one`` is the optional vector m; the rank-one term is applied
-    matrix-free, never stored.
-    """
-    A = _as_csr(A)
-    n = A.shape[0]
-    b = np.asarray(b, dtype=float)
-    bnorm = _rhs_norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n)
-    if maxiter is None:
-        maxiter = 20 * n
 
-    diag = A.diagonal().copy()
-    if rank_one is not None:
-        m = np.asarray(rank_one, dtype=float)
-        diag = diag + m * m
-
-        def matvec(x):
-            return A @ x + m * (m @ x)
-        op = spla.LinearOperator((n, n), matvec=matvec)
-    else:
-        op = A
-    diag[diag <= 0.0] = 1.0
-    precond = spla.LinearOperator((n, n), matvec=lambda x: x / diag)
-
-    x, info = spla.cg(op, b, rtol=tol * 0.5, atol=0.0, maxiter=maxiter,
-                      M=precond)
+def _check_residual(A, x, b, bound, rank_one=None):
     res = residual_norm(A, x, b, rank_one=rank_one)
-    if not res <= tol * bnorm:
-        raise SolverError(
-            f"conjugate gradients stalled (info={info}): "
-            f"residual {res:.3e} > {tol:.1e} * ||b|| = {tol * bnorm:.3e}",
-            residual=res)
+    if not res <= bound:
+        raise SolverError(f"LU solve residual {res:.3e} > {bound:.3e}",
+                          residual=res)
     return x
 
 
-def solve_general(A, b, tol=DEFAULT_TOL, maxiter=None):
-    """Solve a nonsymmetric sparse system; BiCGStab first, then LU.
+def spd_solver(A, rank_one=None, tol=DEFAULT_TOL):
+    """Factor A once; return ``solve(b)`` for (A + m m^T) x = b.
 
-    Small systems (n <= 2000) fall back to dense LU; larger ones to a sparse
-    factorisation.  The returned solution always satisfies the residual
-    bound or a SolverError is raised.
+    ``rank_one`` is the optional vector m; A must then annihilate
+    constants.  Each solve rejects a non-finite b and raises SolverError
+    unless ||(A + m m^T) x - b|| <= tol * ||b||.
     """
     A = _as_csr(A)
     n = A.shape[0]
-    b = np.asarray(b, dtype=float)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n)
-    if maxiter is None:
-        maxiter = 20 * n
-
-    diag = A.diagonal().copy()
-    diag[diag == 0.0] = 1.0
-    precond = spla.LinearOperator((n, n), matvec=lambda x: x / diag)
-    x, info = spla.bicgstab(A, b, rtol=tol * 0.5, atol=0.0,
-                            maxiter=maxiter, M=precond)
-    if info == 0 and residual_norm(A, x, b) <= tol * bnorm:
-        return x
-
-    if n <= DENSE_FALLBACK_MAX:
-        x = scipy.linalg.solve(A.toarray(), b)
+    if rank_one is None:
+        direct = _lu(A).solve
     else:
-        x = spla.splu(A.tocsc()).solve(b)
-    res = residual_norm(A, x, b)
-    if not res <= tol * bnorm:
-        raise SolverError(
-            f"direct fallback residual {res:.3e} > {tol * bnorm:.3e}",
-            residual=res)
-    return x
+        m = np.asarray(rank_one, dtype=float)
+        ones = np.ones(n)
+        if not np.all(np.abs(A @ ones)
+                      <= ZERO_ROW_SUM_TOL * (abs(A) @ ones)):
+            raise SolverError("rank-one solve needs a matrix whose rows "
+                              "sum to zero")
+        msum = float(m.sum())
+        pinned = _lu(A[:-1, :-1])
+
+        def direct(b):
+            s = b.sum() / msum
+            x = np.zeros(n)
+            x[:-1] = pinned.solve((b - s * m)[:-1])
+            return x + (s - m @ x) / msum
+
+    def solve(b):
+        b = np.asarray(b, dtype=float)
+        bnorm = _rhs_norm(b)
+        if bnorm == 0.0:
+            return np.zeros(n)
+        return _check_residual(A, direct(b), b, tol * bnorm, rank_one)
+    return solve
+
+
+def solve_spd(A, b, rank_one=None, tol=DEFAULT_TOL):
+    """Solve (A + m m^T) x = b once; see ``spd_solver``."""
+    return spd_solver(A, rank_one, tol)(b)
+
+
+def solve_general(A, b, tol=DEFAULT_TOL):
+    """Solve a nonsymmetric sparse system (the plain LU path of
+    ``spd_solver`` needs no symmetry)."""
+    return spd_solver(A, tol=tol)(b)
 
 
 def _matrix_key(A):
@@ -137,7 +132,7 @@ class FactorizationCache:
     def __init__(self, tol=DEFAULT_TOL):
         self.tol = tol
         self._key = None
-        self._lu = None
+        self._factors = None
         self.factorizations = 0
 
     def solve(self, A, b):
@@ -146,17 +141,7 @@ class FactorizationCache:
         bnorm = _rhs_norm(b)
         key = _matrix_key(A)
         if key != self._key:
-            try:
-                self._lu = spla.splu(A.tocsc())
-            except RuntimeError as exc:
-                raise SolverError(f"sparse LU factorisation failed: {exc}") \
-                    from exc
+            self._factors = _lu(A)
             self._key = key
             self.factorizations += 1
-        x = self._lu.solve(b)
-        res = residual_norm(A, x, b)
-        if not res <= self.tol * bnorm:
-            raise SolverError(
-                f"factorised solve residual {res:.3e} > {self.tol * bnorm:.3e}",
-                residual=res)
-        return x
+        return _check_residual(A, self._factors.solve(b), b, self.tol * bnorm)

@@ -116,6 +116,10 @@ def validate_mesh(mesh, rel_tol=1e-12, area=None):
     """Check orientation and conformity invariants; raise MeshError on failure."""
     if mesh.triangles.min(initial=0) < 0 or mesh.triangles.max(initial=-1) >= mesh.n_vertices:
         raise MeshError("triangle vertex index out of range")
+    finite = np.isfinite(mesh.vertices).all(axis=1)
+    if not finite.all():
+        raise MeshError(f"vertex {int(np.argmin(finite))} has non-finite "
+                        "coordinates")
     areas = mesh.areas()
     if np.any(areas <= 0):
         bad = int(np.argmax(areas <= 0))

@@ -23,21 +23,23 @@ class QualityReport:
     limit_conformity: dict
 
 
-def _ell_solve(gd, rhs, tol=1e-10):
-    return linalg.solve_spd(gd.grad_gram(), rhs,
-                            rank_one=gd.mean_vector(), tol=tol)
+def _ell_solver(gd):
+    """Solver of the zero-mean elliptic system (G + m m^T) x = b."""
+    return linalg.spd_solver(gd.grad_gram(), rank_one=gd.mean_vector(),
+                             tol=1e-10)
 
 
 def coercivity_constant(gd, tol=1e-8, max_iter=500, seed=0):
     """Worst-case ratio of the reconstructed L2 norm to the elliptic norm,
     via power iteration on the generalized eigenproblem of the two Gram
-    matrices."""
+    matrices.  The elliptic operator is factored once for all iterations."""
     P = gd.pi_gram()
+    ell_solve = _ell_solver(gd)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(gd.ndof)
     lam_prev = 0.0
     for _ in range(max_iter):
-        y = _ell_solve(gd, P @ x)
+        y = ell_solve(P @ x)
         y /= np.linalg.norm(y)
         num = float(y @ (P @ y))
         den = gd.norm_ell(y) ** 2
@@ -116,7 +118,7 @@ def limit_conformity_defect(gd, phi, div_phi):
            + _cell_integrals(rq, div_vals, gd.ndof))
     if not np.any(ell):
         return 0.0
-    x = _ell_solve(gd, ell)
+    x = _ell_solver(gd)(ell)
     return float(np.sqrt(max(float(ell @ x), 0.0)))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gdflow.gd import scheme_a, scheme_b
-from gdflow import io_cli
+from gdflow import io_cli, linalg, quality
 from gdflow.io_cli import (
     main,
     parse_config,
@@ -258,3 +258,30 @@ class TestCli:
 
     def test_mesh_info_requires_argument(self, capsys):
         assert main(["mesh-info"]) == 1
+
+    def test_mesh_info_non_finite_vertex_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "nan.mesh"
+        path.write_text("vertices 3\n0 0\n1 0\nnan 1\ntriangles 1\n0 1 2\n")
+        assert main(["mesh-info", "--mesh-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert "area" not in captured.out
+
+    def test_run_solver_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        def fail(self, A, b):
+            raise linalg.SolverError("forced singular transport matrix")
+        monkeypatch.setattr(linalg.FactorizationCache, "solve", fail)
+        path = write_config(
+            tmp_path, "test=analytic1\nscheme=a\nn=4\ndt=0.1\n"
+                      f"out_dir={tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_quality_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        # one power iteration cannot meet the convergence test
+        real = quality.coercivity_constant
+        monkeypatch.setattr(quality, "coercivity_constant",
+                            lambda gd: real(gd, max_iter=1))
+        assert main(["quality", "--scheme", "a", "--levels", "1",
+                     "--base", "4", "--out-dir", str(tmp_path)]) == 2
+        assert "numerical failure" in capsys.readouterr().err

@@ -8,9 +8,15 @@ from gdflow.linalg import (
     residual_norm,
     solve_general,
     solve_spd,
+    spd_solver,
 )
-from gdflow.gd import scheme_a
-from gdflow.mesh import build_cartesian
+from gdflow.gd import scheme_a, scheme_b
+from gdflow.mesh import build_cartesian, build_dual, build_structured_triangulation
+
+
+def scheme_b_reps(reps):
+    mesh = build_structured_triangulation(reps, 1.0)
+    return scheme_b(mesh, build_dual(mesh))
 
 
 class TestSolveSpd:
@@ -34,7 +40,6 @@ class TestSolveSpd:
         m = gd.mean_vector()
         rng = np.random.default_rng(1)
         b = rng.standard_normal(gd.ndof)
-        b -= m * (m @ b) / (m @ m) * 0.0  # arbitrary rhs is fine
         x = solve_spd(G, b, rank_one=m)
         dense = G.toarray() + np.outer(m, m)
         oracle = np.linalg.solve(dense, b)
@@ -62,6 +67,42 @@ class TestSolveSpd:
         A = sp.diags([2.0, np.nan, 8.0]).tocsr()
         with pytest.raises(SolverError):
             solve_spd(A, np.ones(3))
+
+
+class TestSpdSolver:
+    @pytest.mark.parametrize("make", [lambda: scheme_a(build_cartesian(3, 1.0)),
+                                      lambda: scheme_b_reps(2)],
+                             ids=["scheme_a_n3", "scheme_b_reps2"])
+    def test_rank_one_matches_dense_for_incompatible_rhs(self, make):
+        gd = make()
+        G, m = gd.grad_gram(), gd.mean_vector()
+        b = np.random.default_rng(5).standard_normal(gd.ndof) + 1.0
+        assert abs(b.sum()) > 1.0
+        x = spd_solver(G, rank_one=m)(b)
+        oracle = np.linalg.solve(G.toarray() + np.outer(m, m), b)
+        assert np.allclose(x, oracle, rtol=0.0,
+                           atol=1e-10 * np.abs(oracle).max())
+        assert np.isclose(m @ x, b.sum() / m.sum(), rtol=1e-12)
+
+    def test_rank_one_rejects_nonzero_row_sums(self):
+        G = scheme_a(build_cartesian(3, 1.0)).grad_gram()
+        m = np.ones(G.shape[0])
+        with pytest.raises(SolverError, match="sum to zero"):
+            spd_solver(G + sp.identity(G.shape[0]), rank_one=m)
+
+    def test_one_factorisation_serves_many_rhs(self):
+        gd = scheme_b_reps(2)
+        G, m = gd.grad_gram(), gd.mean_vector()
+        dense = G.toarray() + np.outer(m, m)
+        solve = spd_solver(G, rank_one=m)
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            b = rng.standard_normal(gd.ndof)
+            assert np.allclose(solve(b), np.linalg.solve(dense, b),
+                               atol=1e-10)
+        assert np.allclose(solve(np.zeros(gd.ndof)), 0.0)
+        with pytest.raises(SolverError, match="non-finite"):
+            solve(np.full(gd.ndof, np.inf))
 
 
 class TestSolveGeneral:

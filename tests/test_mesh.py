@@ -199,6 +199,12 @@ class TestMeshFile:
         with pytest.raises(MeshError):
             load_mesh(path)
 
+    def test_non_finite_vertex_rejected(self, tmp_path):
+        path = tmp_path / "nan.mesh"
+        path.write_text("vertices 3\n0 0\n1 0\nnan 1\ntriangles 1\n0 1 2\n")
+        with pytest.raises(MeshError, match="vertex 2 has non-finite"):
+            load_mesh(path)
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.mesh"
         path.write_text("vertices 2\n0 0\noops here\n")

@@ -1,5 +1,8 @@
 import numpy as np
+import pytest
 import scipy.linalg
+
+from gdflow import linalg
 
 from gdflow.gd import scheme_a, scheme_b
 from gdflow.mesh import build_cartesian, build_dual, build_structured_triangulation
@@ -55,6 +58,31 @@ class TestCoercivity:
         H = dense_ell_matrix(gd)
         lam = scipy.linalg.eigh(P, H, eigvals_only=True)[-1]
         assert np.isclose(coercivity_constant(gd), np.sqrt(lam), atol=1e-6)
+
+    @pytest.mark.parametrize("make, tol", [(lambda: make_a(6), 1e-8),
+                                           (lambda: make_a(6), 1e-13),
+                                           (lambda: make_b(3), 1e-8)],
+                             ids=["a_n6", "a_n6_tight_tol", "b_reps3"])
+    def test_factors_once_per_call(self, monkeypatch, make, tol):
+        gd = make()
+        factored, solves = [], []
+        real = linalg.spla.splu
+
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                solves.append(1)
+                return self.lu.solve(b)
+
+        def counting(A, **kwargs):
+            factored.append(A.shape)
+            return CountingLU(real(A, **kwargs))
+        monkeypatch.setattr(linalg.spla, "splu", counting)
+        coercivity_constant(gd, tol=tol)
+        assert len(solves) > 2   # several power iterations ...
+        assert factored == [(gd.ndof - 1, gd.ndof - 1)]   # ... one pinned LU
 
 
 class TestConsistency:
