@@ -16,11 +16,11 @@ VARIANTS = ("centred", "upstream", "dh")
 
 PICARD_TOL = 1e-9
 PICARD_MAX_ITER = 100
-PICARD_DAMPING = 0.5
-PICARD_STALL_WINDOW = 5
+ARMIJO_DECREASE = 1e-4   # sufficient decrease of the residual per unit step
+MIN_STEP = 2.0 ** -10    # floor of the step halving
 
 
-class ConfigurationError(ValueError):
+class ConfigError(ValueError):
     pass
 
 
@@ -56,16 +56,16 @@ class DirichletBC:
 
     def __post_init__(self):
         if len(self.dofs) == 0:
-            raise ConfigurationError("empty Dirichlet dof set")
+            raise ConfigError("empty Dirichlet dof set")
         if len(self.dofs) != len(self.values):
-            raise ConfigurationError("Dirichlet dofs/values length mismatch")
+            raise ConfigError("Dirichlet dofs/values length mismatch")
 
 
 def _locate_dof(gd, point, tol=1e-9):
     d2 = ((gd.anchors - np.asarray(point)) ** 2).sum(axis=1)
     i = int(np.argmin(d2))
     if d2[i] > tol ** 2 * max(1.0, gd.domain_area):
-        raise ConfigurationError(
+        raise ConfigError(
             f"no dof anchored at well point {tuple(point)}")
     return i
 
@@ -131,7 +131,7 @@ def solve_pressure(gd, c_prev, mobility, dsrc, tol=linalg.DEFAULT_TOL):
     -A(Pi c_prev) grad p, and info records the discrete pressure mean.
     """
     G, a = pressure_matrix(gd, c_prev, mobility)
-    m = gd.mean_vector()
+    m = gd.recon_measures
     b = dsrc.pressure_rhs()
     # the rank-one term is the mean functional m / |Omega|, free of the
     # domain scale: with the measures m themselves it grows like |Omega|^2
@@ -151,7 +151,7 @@ def solve_pressure(gd, c_prev, mobility, dsrc, tol=linalg.DEFAULT_TOL):
 
 def diffusion_matrix(gd, U, params, variant):
     if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown convection variant {variant!r}")
+        raise ConfigError(f"unknown convection variant {variant!r}")
     h = gd.h if variant == "dh" else None
     D11, D22, D12 = tensor_D_field(params, U, h=h)
     return _grad_bilinear(gd, D11, D22, D12)
@@ -172,7 +172,7 @@ def convection_matrix(gd, U, variant):
     """Matrix C with (C w)_i = -int T-free transport of w against U.grad(phi_i);
     the truncation is applied to the argument before multiplying."""
     if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown convection variant {variant!r}")
+        raise ConfigError(f"unknown convection variant {variant!r}")
     mg = gd.grad_measures
     C = -(gd.grad_x.T @ sp.diags(mg * U[:, 0])
           + gd.grad_y.T @ sp.diags(mg * U[:, 1])) @ gd.overlap
@@ -202,10 +202,15 @@ def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
     The truncation nonlinearity is resolved by Picard iteration: around the
     current iterate z the clamp is linearised dof-wise
     (T(c) ~ theta(z) c + tau(z), exact wherever z stays in [0, 1]) and the
-    resulting linear system is solved.  Damping engages automatically when
-    the nonlinear residual stalls.
+    resulting linear system is solved for c_hat.  This is a semismooth
+    Newton step for F(c) = base c + C T(c) - b0, globalised by an Armijo
+    line search: unless c_hat passes the convergence test, the iterate is
+    c = z + lam (c_hat - z) with lam = 1, halved (down to MIN_STEP) while
+    ||F(c)|| > (1 - ARMIJO_DECREASE lam) ||F(z)||.
 
-    Returns (c_next, info) with the iteration count and accepted residual.
+    Returns (c_next, info) with the iteration count, the number of step
+    halvings and the accepted residual; raises PicardError with the
+    residual history after ``max_iter`` iterations.
     """
     mass = params.phi * gd.recon_measures
     base = sp.diags(mass / dt) + diffusion_matrix(gd, U, params, variant)
@@ -229,10 +234,9 @@ def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
     z = c_prev.copy()
     if dirichlet is not None:
         z[dirichlet.dofs] = dirichlet.values
+    res_z = nonlinear_residual(z)
     history = []
-    stalled = 0
-    damping = 1.0
-    c = z
+    backtracks = 0
     for it in range(1, max_iter + 1):
         inside = (z >= 0.0) & (z <= 1.0)
         theta = inside.astype(float)
@@ -241,27 +245,26 @@ def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
         b = b0 - C @ tau
         if dirichlet is not None:
             A_ff, b_f, free_idx = eliminate_dirichlet(A, b, dirichlet)
-            c = np.empty(gd.ndof)
-            c[dirichlet.dofs] = dirichlet.values
-            c[free_idx] = cache.solve(A_ff, b_f)
+            c_hat = np.empty(gd.ndof)
+            c_hat[dirichlet.dofs] = dirichlet.values
+            c_hat[free_idx] = cache.solve(A_ff, b_f)
         else:
-            c = cache.solve(A, b)
-        if damping < 1.0:
-            c = z + damping * (c - z)
+            c_hat = cache.solve(A, b)
+        c, lam = c_hat, 1.0
         res = nonlinear_residual(c)
-        change = float(np.max(np.abs(c - z)))
+        converged = res <= tol * scale or np.max(np.abs(c_hat - z)) <= tol
+        while (not converged and lam > MIN_STEP
+               and res > (1.0 - ARMIJO_DECREASE * lam) * res_z):
+            lam *= 0.5
+            backtracks += 1
+            c = z + lam * (c_hat - z)
+            res = nonlinear_residual(c)
         history.append(res)
-        if res <= tol * scale or change <= tol:
-            info = {"picard_iters": it, "picard_residual": res,
-                    "picard_relative": res / scale}
+        if converged:
+            info = {"picard_iters": it, "backtracks": backtracks,
+                    "picard_residual": res, "picard_relative": res / scale}
             return c, info
-        if len(history) >= 2 and res >= history[-2]:
-            stalled += 1
-            if stalled >= PICARD_STALL_WINDOW:
-                damping = PICARD_DAMPING
-        else:
-            stalled = 0
-        z = c
+        z, res_z = c, res
     raise PicardError(
         f"no convergence after {max_iter} iterations "
         f"(last residual {history[-1]:.3e}, scale {scale:.3e})", history)

@@ -71,18 +71,11 @@ class GradientDiscretisation:
         """
         return np.asarray(f(self.anchors), dtype=float)
 
-    # Gram matrices shared by the quality indicators.
+    # Gram matrix of the gradients, shared by the quality indicators.
     def grad_gram(self):
         mg = sp.diags(self.grad_measures)
         return (self.grad_x.T @ mg @ self.grad_x
                 + self.grad_y.T @ mg @ self.grad_y).tocsr()
-
-    def pi_gram(self):
-        return sp.diags(self.recon_measures).tocsr()
-
-    def mean_vector(self):
-        """Vector m with m_i = integral of the i-th reconstruction basis."""
-        return self.recon_measures
 
 
 def _gauss4(x0, x1, y0, y1, cells):

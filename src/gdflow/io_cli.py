@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assembly, linalg, quality, sim
-from .mesh import MeshError, build_cartesian, build_dual, \
+from .mesh import build_cartesian, build_dual, \
     build_structured_triangulation, load_mesh
 from .gd import scheme_a, scheme_b
 from .sim import ConfigError, RunConfig
@@ -361,8 +361,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MeshError, assembly.ConfigurationError,
-            FileNotFoundError, ValueError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (linalg.SolverError, assembly.PicardError,

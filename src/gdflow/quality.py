@@ -6,6 +6,7 @@ the limit-conformity defect of a divergence-compatible test field.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import linalg
 
@@ -25,7 +26,7 @@ class QualityReport:
 
 def _ell_solver(gd):
     """Solver of the zero-mean elliptic system (G + m m^T) x = b."""
-    return linalg.spd_solver(gd.grad_gram(), rank_one=gd.mean_vector(),
+    return linalg.spd_solver(gd.grad_gram(), rank_one=gd.recon_measures,
                              tol=1e-10)
 
 
@@ -33,15 +34,15 @@ def coercivity_constant(gd, tol=1e-8, max_iter=500, seed=0):
     """Worst-case ratio of the reconstructed L2 norm to the elliptic norm,
     via power iteration on the generalized eigenproblem of the two Gram
     matrices.  The elliptic operator is factored once for all iterations."""
-    P = gd.pi_gram()
+    m = gd.recon_measures
     ell_solve = _ell_solver(gd)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(gd.ndof)
     lam_prev = 0.0
     for _ in range(max_iter):
-        y = ell_solve(P @ x)
+        y = ell_solve(m * x)
         y /= np.linalg.norm(y)
-        num = float(y @ (P @ y))
+        num = float(y @ (m * y))
         den = gd.norm_ell(y) ** 2
         lam = num / den
         if abs(lam - lam_prev) <= tol * max(lam, 1e-30):
@@ -72,7 +73,7 @@ def consistency_defect(gd, f, grad_f):
     rhs_pi = _cell_integrals(rq, f_vals, gd.ndof)
     rhs_gx = gd.grad_x.T @ _cell_integrals(gq, g_vals[:, 0], gd.n_grad_cells)
     rhs_gy = gd.grad_y.T @ _cell_integrals(gq, g_vals[:, 1], gd.n_grad_cells)
-    A = (gd.pi_gram() + gd.grad_gram()).tocsr()
+    A = (sp.diags(gd.recon_measures) + gd.grad_gram()).tocsr()
     w = linalg.solve_spd(A, rhs_pi + rhs_gx + rhs_gy, tol=1e-10)
 
     f_sq = float(rq.weights @ f_vals ** 2)

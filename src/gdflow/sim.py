@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import assembly, linalg
-from .assembly import DirichletBC, discretize_sources
+from .assembly import ConfigError, DirichletBC, discretize_sources
 from .gd import scheme_a, scheme_b
 from .mesh import build_cartesian, build_dual, build_structured_triangulation, \
     load_mesh
@@ -30,10 +30,6 @@ _TEST_DEFAULTS = {
     "lit2": dict(side=1000.0, t_final=1080.0, m_ratio=41.0, dm=0.0,
                  dl=50.0, dt_disp=5.0, phi=0.1, perm=80.0, rate=30.0),
 }
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -247,6 +243,7 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
             "picard_iters": t_info["picard_iters"],
             "picard_residual": t_info["picard_residual"],
             "picard_relative": t_info["picard_relative"],
+            "backtracks": t_info["backtracks"],
             "cmin": float(gd.pi(c).min()),
             "cmax": float(gd.pi(c).max()),
             "mass_residual": (assembly.mass_balance_residual(

@@ -163,8 +163,8 @@ def test_criterion_08_quality_indicators():
 
     # dense oracles on the 3x3 grid
     gd = scheme_a(build_cartesian(3, 1.0))
-    P = gd.pi_gram().toarray()
-    m = gd.mean_vector()
+    P = np.diag(gd.recon_measures)
+    m = gd.recon_measures
     H = gd.grad_gram().toarray() + np.outer(m, m)
     lam = scipy.linalg.eigh(P, H, eigvals_only=True)[-1]
     cd_err = abs(coercivity_constant(gd) - np.sqrt(lam))

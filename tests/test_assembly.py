@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from gdflow.assembly import (
-    ConfigurationError,
+    ConfigError,
     DirichletBC,
     artificial_diffusion,
     convection_matrix,
@@ -54,7 +54,7 @@ class TestDiscreteSources:
         gd = make_a(4)
         src = SourceModel(injections=(((0.513, 0.1), 1.0),),
                           productions=(((0.0, 0.0), 1.0),))
-        with pytest.raises(ConfigurationError, match="well point"):
+        with pytest.raises(ConfigError, match="well point"):
             discretize_sources(gd, src)
 
     @pytest.mark.parametrize("make", [make_a, make_b], ids=["a", "b"])
@@ -146,7 +146,7 @@ class TestConvection:
     def test_unknown_variant(self):
         gd = make_a(3)
         U = np.zeros((gd.n_grad_cells, 2))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             convection_matrix(gd, U, "weird")
 
 
@@ -174,7 +174,7 @@ class TestDiffusionMatrix:
 
 class TestDirichlet:
     def test_empty_set_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             DirichletBC(dofs=np.array([], dtype=int), values=np.array([]))
 
     def test_elimination_oracle(self):

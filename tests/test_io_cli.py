@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gdflow.gd import scheme_a, scheme_b
-from gdflow import io_cli, linalg, quality
+from gdflow import assembly, io_cli, linalg, quality
 from gdflow.io_cli import (
     main,
     parse_config,
@@ -271,6 +271,17 @@ class TestCli:
         def fail(self, A, b):
             raise linalg.SolverError("forced singular transport matrix")
         monkeypatch.setattr(linalg.FactorizationCache, "solve", fail)
+        path = write_config(
+            tmp_path, "test=analytic1\nscheme=a\nn=4\ndt=0.1\n"
+                      f"out_dir={tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_run_picard_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        # one Picard iteration cannot converge the first transport step
+        real = assembly.transport_step
+        monkeypatch.setattr(assembly, "transport_step",
+                            lambda *args, **kw: real(*args, **kw, max_iter=1))
         path = write_config(
             tmp_path, "test=analytic1\nscheme=a\nn=4\ndt=0.1\n"
                       f"out_dir={tmp_path / 'out'}\n")

@@ -37,7 +37,7 @@ class TestSolveSpd:
     def test_rank_one_graph_laplacian(self):
         gd = scheme_a(build_cartesian(3, 1.0))
         G = gd.grad_gram()
-        m = gd.mean_vector()
+        m = gd.recon_measures
         rng = np.random.default_rng(1)
         b = rng.standard_normal(gd.ndof)
         x = solve_spd(G, b, rank_one=m)
@@ -75,7 +75,7 @@ class TestSpdSolver:
                              ids=["scheme_a_n3", "scheme_b_reps2"])
     def test_rank_one_matches_dense_for_incompatible_rhs(self, make):
         gd = make()
-        G, m = gd.grad_gram(), gd.mean_vector()
+        G, m = gd.grad_gram(), gd.recon_measures
         b = np.random.default_rng(5).standard_normal(gd.ndof) + 1.0
         assert abs(b.sum()) > 1.0
         x = spd_solver(G, rank_one=m)(b)
@@ -92,7 +92,7 @@ class TestSpdSolver:
 
     def test_one_factorisation_serves_many_rhs(self):
         gd = scheme_b_reps(2)
-        G, m = gd.grad_gram(), gd.mean_vector()
+        G, m = gd.grad_gram(), gd.recon_measures
         dense = G.toarray() + np.outer(m, m)
         solve = spd_solver(G, rank_one=m)
         rng = np.random.default_rng(11)

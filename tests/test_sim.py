@@ -117,6 +117,52 @@ class TestRunCoupled:
         assert 0.0 < report.l2 < 0.3
 
 
+class TestPicardIteration:
+    def test_line_search_bounds_iterations(self):
+        # a Table 2 scheme B centred column (`gdflow table --suite ta2b`):
+        # from step 2 on, full Newton steps overshoot and cycle between
+        # clamp sets unless the line search shortens them
+        cfg = RunConfig(test="analytic2", scheme="b", reps=64, dt=0.005,
+                        t_final=0.025)
+        _, report = run_coupled(cfg)
+        iters = [row["picard_iters"] for row in report.diagnostics]
+        assert max(iters) <= 30, iters
+        assert sum(row["backtracks"] for row in report.diagnostics) >= 1
+
+    @staticmethod
+    def first_step():
+        """Arguments of the first transport step of a small analytic run,
+        which needs two Picard iterations."""
+        problem = build_problem(RunConfig(test="analytic1", scheme="a", n=4,
+                                          dt=0.1))
+        gd = problem.gd
+        c0 = np.zeros(gd.ndof)
+        _, U, _ = assembly.solve_pressure(gd, c0, problem.mobility,
+                                          problem.dsrc)
+        args = (gd, U, c0, 0.1, problem.dsrc, problem.params, "centred")
+        return args, problem.dirichlet_at(0.1)
+
+    def test_picard_error_keeps_history(self):
+        args, bc = self.first_step()
+        _, info = assembly.transport_step(*args, dirichlet=bc)
+        assert info["picard_iters"] >= 2
+        with pytest.raises(assembly.PicardError) as exc:
+            assembly.transport_step(*args, dirichlet=bc, max_iter=1)
+        assert len(exc.value.history) == 1
+
+    def test_step_floor_ends_backtracking(self, monkeypatch):
+        # no step length can meet this decrease condition: each iteration
+        # halves down to the floor and takes that short step
+        monkeypatch.setattr(assembly, "ARMIJO_DECREASE",
+                            2.0 / assembly.MIN_STEP)
+        args, bc = self.first_step()
+        with pytest.raises(assembly.PicardError) as exc:
+            assembly.transport_step(*args, dirichlet=bc, max_iter=3)
+        history = exc.value.history
+        assert len(history) == 3
+        assert history[0] > history[1] > history[2]
+
+
 class TestConvergenceSuite:
     def test_rows_and_ratios(self):
         rows = convergence_suite("analytic1", "a", "centred",
