@@ -49,7 +49,7 @@ class DiscreteSources:
 
 @dataclass(frozen=True)
 class DirichletBC:
-    """Prescribed dof values; rows/columns are eliminated with rhs lifting."""
+    """Prescribed dof values; their rows and columns are eliminated."""
 
     dofs: np.ndarray
     values: np.ndarray
@@ -120,7 +120,7 @@ def _grad_bilinear(gd, a11, a22, a12):
 def pressure_matrix(gd, c_prev, mobility):
     """Stiffness of the mobility-weighted bilinear form, using the exact
     piecewise-constant quadrature of A(Pi c) on every gradient cell."""
-    a = gd.overlap @ mobility.scalar(gd.pi(c_prev))
+    a = gd.overlap @ mobility.scalar(c_prev)
     return _grad_bilinear(gd, a, a, None), a
 
 
@@ -182,16 +182,9 @@ def convection_matrix(gd, U, variant):
     return C
 
 
-def eliminate_dirichlet(A, b, bc):
-    """Row/column elimination with rhs lifting; returns the free subsystem."""
-    n = A.shape[0]
-    free = np.ones(n, dtype=bool)
-    free[bc.dofs] = False
-    free_idx = np.flatnonzero(free)
-    A_csc = A.tocsc()
-    b_free = b[free_idx] - A_csc[:, bc.dofs][free_idx] @ bc.values
-    A_ff = A_csc[:, free_idx][free_idx].tocsr()
-    return A_ff, b_free, free_idx
+def eliminate_dirichlet(A, free_idx):
+    """The free block A[free, free] left by eliminating the Dirichlet dofs."""
+    return A.tocsc()[:, free_idx][free_idx].tocsr()
 
 
 def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
@@ -199,14 +192,14 @@ def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
                    tol=PICARD_TOL, max_iter=PICARD_MAX_ITER):
     """One implicit transport step.
 
-    The truncation nonlinearity is resolved by Picard iteration: around the
-    current iterate z the clamp is linearised dof-wise
-    (T(c) ~ theta(z) c + tau(z), exact wherever z stays in [0, 1]) and the
-    resulting linear system is solved for c_hat.  This is a semismooth
-    Newton step for F(c) = base c + C T(c) - b0, globalised by an Armijo
-    line search: unless c_hat passes the convergence test, the iterate is
-    c = z + lam (c_hat - z) with lam = 1, halved (down to MIN_STEP) while
-    ||F(c)|| > (1 - ARMIJO_DECREASE lam) ||F(z)||.
+    The truncation nonlinearity is resolved by a semismooth Newton
+    ("Picard") iteration on the free rows of F(c) = base c + C T(c) - b0.
+    At the iterate z, J = base + C diag(theta) with theta = 1 where z lies
+    in [0, 1] and 0 elsewhere, and the correction solves
+    J_ff delta_f = F(z)_f; delta is zero on the Dirichlet dofs, which z
+    already holds.  An Armijo line search globalises c = z - lam delta:
+    unless the full step passes the convergence test, lam = 1 is halved
+    (down to MIN_STEP) while ||F(c)|| > (1 - ARMIJO_DECREASE lam) ||F(z)||.
 
     Returns (c_next, info) with the iteration count, the number of step
     halvings and the accepted residual; raises PicardError with the
@@ -221,44 +214,38 @@ def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
     b0 = mass * c_prev / dt + dsrc.chat * dsrc.q_injection
 
     free = np.ones(gd.ndof, dtype=bool)
+    z = c_prev.copy()
     if dirichlet is not None:
         free[dirichlet.dofs] = False
+        z[dirichlet.dofs] = dirichlet.values
+    free_idx = np.flatnonzero(free)
     scale = max(float(np.linalg.norm(b0)), 1e-30)
 
-    def nonlinear_residual(c):
-        r = base @ c + C @ truncate(c) - b0
-        return float(np.linalg.norm(r[free]))
+    def residual(c):
+        F = (base @ c + C @ truncate(c) - b0)[free]
+        return F, float(np.linalg.norm(F))
 
     if cache is None:
         cache = linalg.FactorizationCache()
-    z = c_prev.copy()
-    if dirichlet is not None:
-        z[dirichlet.dofs] = dirichlet.values
-    res_z = nonlinear_residual(z)
+    F, res_z = residual(z)
     history = []
     backtracks = 0
     for it in range(1, max_iter + 1):
-        inside = (z >= 0.0) & (z <= 1.0)
-        theta = inside.astype(float)
-        tau = truncate(z) - theta * z
-        A = (base + C @ sp.diags(theta)).tocsr()
-        b = b0 - C @ tau
+        theta = ((z >= 0.0) & (z <= 1.0)).astype(float)
+        J = (base + C @ sp.diags(theta)).tocsr()
         if dirichlet is not None:
-            A_ff, b_f, free_idx = eliminate_dirichlet(A, b, dirichlet)
-            c_hat = np.empty(gd.ndof)
-            c_hat[dirichlet.dofs] = dirichlet.values
-            c_hat[free_idx] = cache.solve(A_ff, b_f)
-        else:
-            c_hat = cache.solve(A, b)
-        c, lam = c_hat, 1.0
-        res = nonlinear_residual(c)
-        converged = res <= tol * scale or np.max(np.abs(c_hat - z)) <= tol
+            J = eliminate_dirichlet(J, free_idx)
+        delta = np.zeros(gd.ndof)
+        delta[free] = cache.solve(J, F)
+        c, lam = z - delta, 1.0
+        F, res = residual(c)
+        converged = res <= tol * scale or np.max(np.abs(delta)) <= tol
         while (not converged and lam > MIN_STEP
                and res > (1.0 - ARMIJO_DECREASE * lam) * res_z):
             lam *= 0.5
             backtracks += 1
-            c = z + lam * (c_hat - z)
-            res = nonlinear_residual(c)
+            c = z - lam * delta
+            F, res = residual(c)
         history.append(res)
         if converged:
             info = {"picard_iters": it, "backtracks": backtracks,
@@ -274,8 +261,8 @@ def mass_balance_residual(gd, c_prev, c_next, dt, dsrc, params):
     """Neumann-test balance: Phi-weighted mass rate vs implicit source terms,
     relative to the source magnitude."""
     mass = params.phi * gd.recon_measures
-    lhs = float(mass @ (gd.pi(c_next) - gd.pi(c_prev))) / dt
+    lhs = float(mass @ (c_next - c_prev)) / dt
     rhs = float(dsrc.chat * dsrc.q_injection.sum()
-                - dsrc.q_production @ gd.pi(c_next))
+                - dsrc.q_production @ c_next)
     scale = max(abs(dsrc.q_injection.sum()), 1e-30)
     return abs(lhs - rhs) / scale

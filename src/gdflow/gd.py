@@ -61,7 +61,7 @@ class GradientDiscretisation:
 
     def norm_ell(self, w):
         g2 = self.grad_measures @ ((self.grad_x @ w) ** 2 + (self.grad_y @ w) ** 2)
-        mean = float(self.recon_measures @ self.pi(w))
+        mean = float(self.recon_measures @ w)
         return float(np.sqrt(g2 + mean ** 2))
 
     def interpolate(self, f):

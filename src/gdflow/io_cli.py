@@ -3,6 +3,7 @@
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,16 +14,11 @@ from .mesh import build_cartesian, build_dual, \
 from .gd import scheme_a, scheme_b
 from .sim import ConfigError, RunConfig
 
-_KEY_TYPES = {
-    "test": str, "scheme": str, "variant": str,
-    "n": int, "level": int, "mesh_file": str,
-    "dt": float, "t_final": float,
-    "m_ratio": float, "dm": float, "dl": float, "dt_disp": float,
-    "phi": float, "perm": float,
-    "out_dir": str, "vtk_every": int,
-}
-# config-file key -> RunConfig field
+# config-file key -> RunConfig field, where the two differ
 _KEY_FIELDS = {"level": "reps"}
+_FIELD_KEYS = {name: key for key, name in _KEY_FIELDS.items()}
+_KEY_TYPES = {_FIELD_KEYS.get(f.name, f.name): f.type
+              for f in fields(RunConfig)}
 
 
 def parse_config(path):
@@ -140,6 +136,13 @@ def dof_velocity(gd, U):
     return (gd.overlap.T @ (mg[:, None] * U)) / weights[:, None]
 
 
+def _write_rows(f, rows, fmt):
+    """Write ``fmt % row`` per row of a 1-D or 2-D array in one call; the
+    text equals ``np.savetxt(f, rows, fmt=fmt)``."""
+    rows = np.asarray(rows, dtype=float)
+    f.write((fmt + "\n") * len(rows) % tuple(rows.ravel().tolist()))
+
+
 def write_vtk(gd, scalar_fields, path, velocity=None):
     """Write the reconstruction cells as polygons with CELL_DATA scalars
     (one value per cell) and, optionally, the cell-averaged Darcy velocity.
@@ -160,7 +163,7 @@ def write_vtk(gd, scalar_fields, path, velocity=None):
         f.write("# vtk DataFile Version 3.0\n")
         f.write("gdflow fields\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {len(points)} double\n")
-        np.savetxt(f, points, fmt="%.9g %.9g 0")
+        _write_rows(f, points, "%.9g %.9g 0")
         size = sum(len(p) + 1 for p in polys)
         f.write(f"CELLS {len(polys)} {size}\n")
         f.writelines(f"{len(p)} {' '.join(map(str, p))}\n" for p in polys)
@@ -169,10 +172,10 @@ def write_vtk(gd, scalar_fields, path, velocity=None):
         f.write(f"CELL_DATA {len(polys)}\n")
         for name, values in scalar_fields.items():
             f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            np.savetxt(f, np.asarray(values, dtype=float), fmt="%.9g")
+            _write_rows(f, values, "%.9g")
         if velocity is not None:
             f.write("VECTORS velocity double\n")
-            np.savetxt(f, dof_velocity(gd, velocity), fmt="%.9g %.9g 0")
+            _write_rows(f, dof_velocity(gd, velocity), "%.9g %.9g 0")
 
 
 def validate_vtk(path):
@@ -232,9 +235,8 @@ def _cmd_run(args):
 
     def snapshot(step, t, state):
         vtk_path = out / f"fields_{step}.vtk"
-        write_vtk(state.gd, {"c": state.gd.pi(state.c),
-                             "p": state.gd.pi(state.p)},
-                  vtk_path, velocity=state.U)
+        write_vtk(state.gd, {"c": state.c, "p": state.p}, vtk_path,
+                  velocity=state.U)
         validate_vtk(vtk_path)
 
     state, report = sim.run_coupled(config, snapshot_cb=snapshot)

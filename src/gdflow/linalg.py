@@ -37,13 +37,6 @@ def _as_csr(A):
     return A.tocsr()
 
 
-def _rhs_norm(b):
-    bnorm = np.linalg.norm(b)
-    if not np.isfinite(bnorm):
-        raise SolverError("right-hand side has non-finite entries")
-    return bnorm
-
-
 def residual_norm(A, x, b, rank_one=None):
     """Independently recomputed ||Ax - b||."""
     r = A @ x - b
@@ -57,14 +50,6 @@ def _lu(A):
         return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorisation failed: {exc}") from exc
-
-
-def _check_residual(A, x, b, bound, rank_one=None):
-    res = residual_norm(A, x, b, rank_one=rank_one)
-    if not res <= bound:
-        raise SolverError(f"LU solve residual {res:.3e} > {bound:.3e}",
-                          residual=res)
-    return x
 
 
 def spd_solver(A, rank_one=None, tol=DEFAULT_TOL):
@@ -96,10 +81,17 @@ def spd_solver(A, rank_one=None, tol=DEFAULT_TOL):
 
     def solve(b):
         b = np.asarray(b, dtype=float)
-        bnorm = _rhs_norm(b)
+        bnorm = np.linalg.norm(b)
+        if not np.isfinite(bnorm):
+            raise SolverError("right-hand side has non-finite entries")
         if bnorm == 0.0:
             return np.zeros(n)
-        return _check_residual(A, direct(b), b, tol * bnorm, rank_one)
+        x = direct(b)
+        res = residual_norm(A, x, b, rank_one=rank_one)
+        if not res <= tol * bnorm:
+            raise SolverError(f"LU solve residual {res:.3e} > "
+                              f"{tol * bnorm:.3e}", residual=res)
+        return x
     return solve
 
 
@@ -123,25 +115,22 @@ def _matrix_key(A):
 
 
 class FactorizationCache:
-    """Reuses a sparse LU factorisation across solves with the same matrix.
-
-    The time loop refactorises only when the assembled matrix actually
-    changes (constant-viscosity runs keep one factorisation throughout).
-    """
+    """Reuses the ``spd_solver`` of the last matrix while the matrix bytes
+    (sha256) stay the same.  The transport matrix changes with the velocity
+    and with the clamp set of the Picard iterate, so even constant-viscosity
+    runs refactorise whenever a dof enters or leaves [0, 1]."""
 
     def __init__(self, tol=DEFAULT_TOL):
         self.tol = tol
         self._key = None
-        self._factors = None
+        self._solve = None
         self.factorizations = 0
 
     def solve(self, A, b):
         A = _as_csr(A)
-        b = np.asarray(b, dtype=float)
-        bnorm = _rhs_norm(b)
         key = _matrix_key(A)
         if key != self._key:
-            self._factors = _lu(A)
+            self._solve = spd_solver(A, tol=self.tol)
             self._key = key
             self.factorizations += 1
-        return _check_residual(A, self._factors.solve(b), b, self.tol * bnorm)
+        return self._solve(b)

@@ -78,9 +78,8 @@ def consistency_defect(gd, f, grad_f):
 
     f_sq = float(rq.weights @ f_vals ** 2)
     g_sq = float(gq.weights @ (g_vals ** 2).sum(axis=1))
-    pw = gd.pi(w)
     gw = gd.grad(w)
-    err_pi = (gd.recon_measures @ pw ** 2
+    err_pi = (gd.recon_measures @ w ** 2
               - 2.0 * float(w @ rhs_pi) + f_sq)
     err_g = (gd.grad_measures @ (gw ** 2).sum(axis=1)
              - 2.0 * float(w @ (rhs_gx + rhs_gy)) + g_sq)

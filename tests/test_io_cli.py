@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,12 @@ class TestParseConfig:
                             "test=analytic1\nscheme=b\nlevel=4\ndt=0.02\n")
         assert parse_config(path).reps == 4
 
+    def test_reps_is_not_a_file_key(self, tmp_path):
+        path = write_config(tmp_path,
+                            "test=analytic1\nscheme=b\nreps=4\ndt=0.02\n")
+        with pytest.raises(ConfigError, match=":3: unknown key 'reps'"):
+            parse_config(path)
+
     def test_unknown_key_reports_line(self, tmp_path):
         path = write_config(tmp_path, "test=analytic1\nwhat=3\n")
         with pytest.raises(ConfigError, match=":2"):
@@ -99,6 +107,20 @@ class TestCsv:
 
 
 class TestVtk:
+    @pytest.mark.parametrize("rows, fmt", [
+        (np.array([1.5, -0.0, 1e-300, np.nan, -np.inf, 123456789.123]),
+         "%.9g"),
+        (np.array([[0.25, -0.0], [1e-300, np.nan], [-7e22, 3.0]]),
+         "%.9g %.9g 0"),
+        (np.array([[2.0, -0.0, np.nan]]), "%.9g %.9g %.9g"),
+        (np.zeros((0, 2)), "%.9g %.9g 0"),
+    ])
+    def test_bulk_rows_match_savetxt(self, rows, fmt):
+        bulk, reference = io.StringIO(), io.StringIO()
+        io_cli._write_rows(bulk, rows, fmt)
+        np.savetxt(reference, rows, fmt=fmt)
+        assert bulk.getvalue() == reference.getvalue()
+
     def test_2x2_grid_constant_field(self, tmp_path):
         gd = scheme_a(build_cartesian(2, 1.0))
         path = tmp_path / "c.vtk"
