@@ -12,7 +12,7 @@ from .mesh import CartesianGrid, TriangularMesh, DualMesh, build_cartesian, \
     build_structured_triangulation, build_dual, load_mesh, save_mesh
 from .gd import GradientDiscretisation, scheme_a, scheme_b
 from .physics import ViscosityModel, MobilityTensor, DispersionParams, \
-    SourceModel, AnalyticalRadialSolution, viscosity, truncate, psi
+    AnalyticalRadialSolution, viscosity, truncate, psi
 from .sim import RunConfig, ErrorReport, run_coupled, error_norms, \
     convergence_suite
 
@@ -20,7 +20,7 @@ __all__ = [
     "CartesianGrid", "TriangularMesh", "DualMesh", "build_cartesian",
     "build_structured_triangulation", "build_dual", "load_mesh", "save_mesh",
     "GradientDiscretisation", "scheme_a", "scheme_b",
-    "ViscosityModel", "MobilityTensor", "DispersionParams", "SourceModel",
+    "ViscosityModel", "MobilityTensor", "DispersionParams",
     "AnalyticalRadialSolution", "viscosity", "truncate", "psi",
     "RunConfig", "ErrorReport", "run_coupled", "error_norms",
     "convergence_suite",

@@ -1,7 +1,8 @@
-"""Per-time-step discrete systems: the pressure equation with its zero-mean
-rank-one term, the Darcy velocity reconstruction, and the implicit transport
-equation with the truncated convection nonlinearity resolved by Picard
-iteration (centred, upstream or vanishing-diffusion variants).
+"""Per-time-step discrete systems: the corner and lineic well sources, the
+pressure equation with its zero-mean rank-one term, the Darcy velocity
+reconstruction, and the implicit transport equation with the truncated
+convection nonlinearity resolved by Picard iteration (centred, upstream or
+vanishing-diffusion variants).
 """
 
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .physics import boundary_production_weights, tensor_D_field, truncate
+from .physics import tensor_D_field, truncate
 
 VARIANTS = ("centred", "upstream", "dh")
 
@@ -18,6 +19,7 @@ PICARD_TOL = 1e-9
 PICARD_MAX_ITER = 100
 ARMIJO_DECREASE = 1e-4   # sufficient decrease of the residual per unit step
 MIN_STEP = 2.0 ** -10    # floor of the step halving
+WELL_TOL = 1e-9          # well point to dof anchor, relative to the side
 
 
 class ConfigError(ValueError):
@@ -34,13 +36,12 @@ class PicardError(RuntimeError):
 
 @dataclass(frozen=True)
 class DiscreteSources:
-    """Per-dof source rates: Dirac wells land on the dof anchored at the
-    well point, lineic production is split by angle increments over the
-    boundary cells."""
+    """Per-dof source rates of the injected fluid (concentration 1) and of
+    the production; ``production_in_transport`` adds the production as a
+    reaction term to the transport equation."""
 
     q_injection: np.ndarray
     q_production: np.ndarray
-    chat: float
     production_in_transport: bool = True
 
     def pressure_rhs(self):
@@ -61,47 +62,41 @@ class DirichletBC:
             raise ConfigError("Dirichlet dofs/values length mismatch")
 
 
-def _locate_dof(gd, point, tol=1e-9):
+def _locate_dof(gd, point):
     d2 = ((gd.anchors - np.asarray(point)) ** 2).sum(axis=1)
     i = int(np.argmin(d2))
-    if d2[i] > tol ** 2 * max(1.0, gd.domain_area):
+    if d2[i] > WELL_TOL ** 2 * max(1.0, gd.domain_area):
         raise ConfigError(
             f"no dof anchored at well point {tuple(point)}")
     return i
 
 
-def _lineic_weights(gd, edge):
-    """Angle-increment weights for the dofs along one unit-square edge."""
-    x, y = gd.anchors[:, 0], gd.anchors[:, 1]
-    if edge == "bottom":
-        on_edge = np.flatnonzero(np.abs(y) < 1e-12)
-        s = x[on_edge]
-    else:
-        on_edge = np.flatnonzero(np.abs(x) < 1e-12)
-        s = y[on_edge]
-    order = np.argsort(s)
-    on_edge, s = on_edge[order], s[order]
-    # cell cut points: midpoints between consecutive anchors
-    breaks = np.concatenate([[0.0], 0.5 * (s[1:] + s[:-1]), [1.0]])
-    return on_edge, boundary_production_weights(breaks, edge)
-
-
-def discretize_sources(gd, sources, production_in_transport=True):
-    sources.check_compatibility()
+def discretize_sources(gd, side, rate):
+    """Per-dof sources: with a ``rate``, the quarter five-spot wells at
+    (side, side) and the origin; with ``rate=None``, the radial test's pi/2
+    injection at (1, 1) and, on each dof of the two edges through the
+    origin, a production equal to the angle its segment subtends at (1, 1),
+    where (s, 0) and (0, s) lie at arctan2(s, 2 - s) from the origin.  That
+    production acts on the Dirichlet edges, whose constrained rows replace
+    the reaction term in the transport equation."""
     qi = np.zeros(gd.ndof)
     qp = np.zeros(gd.ndof)
-    for point, rate in sources.injections:
-        qi[_locate_dof(gd, point)] += rate
-    for point, rate in sources.productions:
-        qp[_locate_dof(gd, point)] += rate
-    if sources.lineic_production_rate > 0.0:
-        scale = sources.lineic_production_rate / (np.pi / 2.0)
-        for edge in ("bottom", "left"):
-            dofs, weights = _lineic_weights(gd, edge)
-            np.add.at(qp, dofs, scale * weights)
+    if rate is not None:
+        qi[_locate_dof(gd, (side, side))] += rate
+        qp[_locate_dof(gd, (0.0, 0.0))] += rate
+        return DiscreteSources(q_injection=qi, q_production=qp)
+    qi[_locate_dof(gd, (1.0, 1.0))] += np.pi / 2.0
+    for along, across in ((0, 1), (1, 0)):  # bottom, left edge
+        on_edge = np.flatnonzero(np.abs(gd.anchors[:, across]) < 1e-12)
+        s = gd.anchors[on_edge, along]
+        order = np.argsort(s)
+        s = s[order]
+        # cell cut points: midpoints between consecutive anchors
+        breaks = np.concatenate([[0.0], 0.5 * (s[1:] + s[:-1]), [1.0]])
+        angle = np.arctan2(breaks, 2.0 - breaks)
+        np.add.at(qp, on_edge[order], np.diff(angle))
     return DiscreteSources(q_injection=qi, q_production=qp,
-                           chat=sources.injected_concentration,
-                           production_in_transport=production_in_transport)
+                           production_in_transport=False)
 
 
 def _grad_bilinear(gd, a11, a22, a12):
@@ -124,7 +119,7 @@ def pressure_matrix(gd, c_prev, mobility):
     return _grad_bilinear(gd, a, a, None), a
 
 
-def solve_pressure(gd, c_prev, mobility, dsrc, tol=linalg.DEFAULT_TOL):
+def solve_pressure(gd, c_prev, mobility, dsrc):
     """Solve the zero-mean pressure system and reconstruct the Darcy field.
 
     Returns (p, U, info); U is the per-gradient-cell velocity
@@ -137,7 +132,7 @@ def solve_pressure(gd, c_prev, mobility, dsrc, tol=linalg.DEFAULT_TOL):
     # domain scale: with the measures m themselves it grows like |Omega|^2
     # and its rounding alone exceeds the residual bound on (0, 1000)^2
     mean = m / gd.domain_area
-    p = linalg.solve_spd(G, b, rank_one=mean, tol=tol)
+    p = linalg.solve_spd(G, b, rank_one=mean)
     # pin the zero-mean normalisation exactly (G annihilates constants)
     p = p - (m @ p) / gd.domain_area
     U = -a[:, None] * gd.grad(p)
@@ -188,8 +183,7 @@ def eliminate_dirichlet(A, free_idx):
 
 
 def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
-                   dirichlet=None, cache=None,
-                   tol=PICARD_TOL, max_iter=PICARD_MAX_ITER):
+                   dirichlet=None, cache=None):
     """One implicit transport step.
 
     The truncation nonlinearity is resolved by a semismooth Newton
@@ -203,7 +197,7 @@ def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
 
     Returns (c_next, info) with the iteration count, the number of step
     halvings and the accepted residual; raises PicardError with the
-    residual history after ``max_iter`` iterations.
+    residual history after PICARD_MAX_ITER iterations.
     """
     mass = params.phi * gd.recon_measures
     base = sp.diags(mass / dt) + diffusion_matrix(gd, U, params, variant)
@@ -211,7 +205,7 @@ def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
         base = base + sp.diags(dsrc.q_production)
     base = base.tocsr()
     C = convection_matrix(gd, U, variant)
-    b0 = mass * c_prev / dt + dsrc.chat * dsrc.q_injection
+    b0 = mass * c_prev / dt + dsrc.q_injection
 
     free = np.ones(gd.ndof, dtype=bool)
     z = c_prev.copy()
@@ -230,7 +224,7 @@ def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
     F, res_z = residual(z)
     history = []
     backtracks = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, PICARD_MAX_ITER + 1):
         theta = ((z >= 0.0) & (z <= 1.0)).astype(float)
         J = (base + C @ sp.diags(theta)).tocsr()
         if dirichlet is not None:
@@ -239,7 +233,8 @@ def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
         delta[free] = cache.solve(J, F)
         c, lam = z - delta, 1.0
         F, res = residual(c)
-        converged = res <= tol * scale or np.max(np.abs(delta)) <= tol
+        converged = (res <= PICARD_TOL * scale
+                     or np.max(np.abs(delta)) <= PICARD_TOL)
         while (not converged and lam > MIN_STEP
                and res > (1.0 - ARMIJO_DECREASE * lam) * res_z):
             lam *= 0.5
@@ -253,7 +248,7 @@ def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
             return c, info
         z, res_z = c, res
     raise PicardError(
-        f"no convergence after {max_iter} iterations "
+        f"no convergence after {PICARD_MAX_ITER} iterations "
         f"(last residual {history[-1]:.3e}, scale {scale:.3e})", history)
 
 
@@ -262,7 +257,6 @@ def mass_balance_residual(gd, c_prev, c_next, dt, dsrc, params):
     relative to the source magnitude."""
     mass = params.phi * gd.recon_measures
     lhs = float(mass @ (c_next - c_prev)) / dt
-    rhs = float(dsrc.chat * dsrc.q_injection.sum()
-                - dsrc.q_production @ c_next)
+    rhs = float(dsrc.q_injection.sum() - dsrc.q_production @ c_next)
     scale = max(abs(dsrc.q_injection.sum()), 1e-30)
     return abs(lhs - rhs) / scale

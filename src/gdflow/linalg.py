@@ -17,7 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-DEFAULT_TOL = 1e-10
+# ||A x - b|| relative to ||b|| above which a solve fails
+RESIDUAL_TOL = 1e-10
 # |A 1| relative to the row sums of |A| below which a row counts as
 # annihilating constants
 ZERO_ROW_SUM_TOL = 1e-10
@@ -52,12 +53,12 @@ def _lu(A):
         raise SolverError(f"sparse LU factorisation failed: {exc}") from exc
 
 
-def spd_solver(A, rank_one=None, tol=DEFAULT_TOL):
+def spd_solver(A, rank_one=None):
     """Factor A once; return ``solve(b)`` for (A + m m^T) x = b.
 
     ``rank_one`` is the optional vector m; A must then annihilate
     constants.  Each solve rejects a non-finite b and raises SolverError
-    unless ||(A + m m^T) x - b|| <= tol * ||b||.
+    unless ||(A + m m^T) x - b|| <= RESIDUAL_TOL * ||b||.
     """
     A = _as_csr(A)
     n = A.shape[0]
@@ -88,22 +89,22 @@ def spd_solver(A, rank_one=None, tol=DEFAULT_TOL):
             return np.zeros(n)
         x = direct(b)
         res = residual_norm(A, x, b, rank_one=rank_one)
-        if not res <= tol * bnorm:
+        if not res <= RESIDUAL_TOL * bnorm:
             raise SolverError(f"LU solve residual {res:.3e} > "
-                              f"{tol * bnorm:.3e}", residual=res)
+                              f"{RESIDUAL_TOL * bnorm:.3e}", residual=res)
         return x
     return solve
 
 
-def solve_spd(A, b, rank_one=None, tol=DEFAULT_TOL):
+def solve_spd(A, b, rank_one=None):
     """Solve (A + m m^T) x = b once; see ``spd_solver``."""
-    return spd_solver(A, rank_one, tol)(b)
+    return spd_solver(A, rank_one)(b)
 
 
-def solve_general(A, b, tol=DEFAULT_TOL):
+def solve_general(A, b):
     """Solve a nonsymmetric sparse system (the plain LU path of
     ``spd_solver`` needs no symmetry)."""
-    return spd_solver(A, tol=tol)(b)
+    return spd_solver(A)(b)
 
 
 def _matrix_key(A):
@@ -120,8 +121,7 @@ class FactorizationCache:
     and with the clamp set of the Picard iterate, so even constant-viscosity
     runs refactorise whenever a dof enters or leaves [0, 1]."""
 
-    def __init__(self, tol=DEFAULT_TOL):
-        self.tol = tol
+    def __init__(self):
         self._key = None
         self._solve = None
         self.factorizations = 0
@@ -130,7 +130,7 @@ class FactorizationCache:
         A = _as_csr(A)
         key = _matrix_key(A)
         if key != self._key:
-            self._solve = spd_solver(A, tol=self.tol)
+            self._solve = spd_solver(A)
             self._key = key
             self.factorizations += 1
         return self._solve(b)

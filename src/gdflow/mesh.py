@@ -52,8 +52,8 @@ def build_cartesian(N, L):
     """Build the node-centred Cartesian grid with N cells per side on (0, L)^2."""
     if N < 2:
         raise MeshError(f"need at least 2 cells per side, got N={N}")
-    if L <= 0:
-        raise MeshError(f"side length must be positive, got L={L}")
+    if not (np.isfinite(L) and L > 0):
+        raise MeshError(f"side length must be finite and positive, got L={L}")
     h = L / N
     coords_1d = np.arange(N + 1) * h
     xx, yy = np.meshgrid(coords_1d, coords_1d, indexing="xy")
@@ -112,7 +112,7 @@ def _unique_edges(triangles):
     return np.column_stack(np.divmod(keys, n)), counts
 
 
-def validate_mesh(mesh, rel_tol=1e-12, area=None):
+def validate_mesh(mesh, area=None):
     """Check orientation and conformity invariants; raise MeshError on failure."""
     if mesh.triangles.min(initial=0) < 0 or mesh.triangles.max(initial=-1) >= mesh.n_vertices:
         raise MeshError("triangle vertex index out of range")
@@ -132,7 +132,7 @@ def validate_mesh(mesh, rel_tol=1e-12, area=None):
                         f"{counts[k]} triangles")
     if area is not None:
         total = areas.sum()
-        if abs(total - area) > rel_tol * area:
+        if abs(total - area) > 1e-12 * area:
             raise MeshError(f"triangle areas sum to {total!r}, expected {area!r}")
     return mesh
 
@@ -147,8 +147,8 @@ def build_structured_triangulation(reps, L):
     """
     if reps < 1:
         raise MeshError(f"replication count must be >= 1, got {reps}")
-    if L <= 0:
-        raise MeshError(f"side length must be positive, got L={L}")
+    if not (np.isfinite(L) and L > 0):
+        raise MeshError(f"side length must be finite and positive, got L={L}")
     n = 2 * reps
     h = L / n
     coords = np.arange(n + 1) * h

@@ -1,6 +1,6 @@
 """Problem data: viscosity/mobility, the Peaceman diffusion-dispersion tensor
-and its mesh-dependent stabilised variant, corner and lineic well sources, and
-the analytical radial solution used by the convergence tables.
+and its mesh-dependent stabilised variant, and the analytical radial
+solution used by the convergence tables.
 """
 
 from dataclasses import dataclass, field
@@ -19,22 +19,20 @@ def truncate(s):
 @dataclass(frozen=True)
 class ViscosityModel:
     """Quarter-power mixing rule between the resident fluid (c=0) and the
-    injected solvent (c=1); M is the mobility ratio mu(0)/mu(1)."""
+    injected solvent (c=1); M is the mobility ratio mu(0)/mu(1), with the
+    resident viscosity mu(0) = 1 (its scale is the permeability k)."""
 
-    mu0: float = 1.0
     M: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu0) and self.mu0 > 0):
-            raise ValueError(f"mu0 must be finite, > 0, got {self.mu0}")
         if not (np.isfinite(self.M) and self.M >= 1):
             raise ValueError(f"mobility ratio must be finite, >= 1, got {self.M}")
 
 
 def viscosity(model, c):
-    """mu(c) = mu0 * (1 + (M^(1/4) - 1) c)^(-4), with c clamped to [0, 1]."""
+    """mu(c) = (1 + (M^(1/4) - 1) c)^(-4), with c clamped to [0, 1]."""
     c = truncate(c)
-    return model.mu0 * (1.0 + (model.M ** 0.25 - 1.0) * c) ** (-4)
+    return (1.0 + (model.M ** 0.25 - 1.0) * c) ** (-4)
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,6 @@ class AnalyticalRadialSolution:
     order an integer."""
 
     dm: float
-    centre: tuple = (1.0, 1.0)
 
     def __post_init__(self):
         n = self.series_order_exact()
@@ -166,77 +163,8 @@ class AnalyticalRadialSolution:
         x = np.asarray(x, dtype=float)
         squeeze = x.ndim == 1
         x = np.atleast_2d(x)
-        rho2 = (x[:, 0] - self.centre[0]) ** 2 + (x[:, 1] - self.centre[1]) ** 2
+        rho2 = (x[:, 0] - 1.0) ** 2 + (x[:, 1] - 1.0) ** 2
         vals = psi(rho2 / (4.0 * self.dm * t), self.N)
         vals = np.atleast_1d(vals)
         return float(vals[0]) if squeeze else vals
 
-
-def production_angle(s, edge):
-    """Angle at I=(1,1) between the rays I->O (O the origin) and I->M, where
-    M = (s, 0) on the bottom edge or (0, s) on the left edge."""
-    s = np.asarray(s, dtype=float)
-    if edge == "bottom":
-        vx, vy = s - 1.0, -np.ones_like(s)
-    elif edge == "left":
-        vx, vy = -np.ones_like(s), s - 1.0
-    else:
-        raise ValueError(f"edge must be 'bottom' or 'left', got {edge!r}")
-    # reference ray I->O is (-1, -1)
-    cross = np.abs(vx * (-1.0) - vy * (-1.0))
-    dot = -vx - vy
-    ang = np.arctan2(cross, dot)
-    return ang if ang.ndim else float(ang)
-
-
-def boundary_production_weights(breaks, edge):
-    """Angle increments theta(b) - theta(a) for consecutive segment breaks
-    along one production edge; nonnegative, summing to pi/4 over [0, 1]."""
-    breaks = np.asarray(breaks, dtype=float)
-    th = production_angle(breaks, edge)
-    w = np.diff(th)
-    if np.any(w < -1e-14):
-        raise ValueError("segment breaks must be increasing along the edge")
-    return np.maximum(w, 0.0)
-
-
-@dataclass(frozen=True)
-class SourceModel:
-    """Well configuration entering both equations.
-
-    ``injections``/``productions`` are lists of (point, rate) Dirac wells;
-    ``lineic_production_rate`` switches on the angle-weighted production
-    along the two boundary edges through the origin (analytic tests).
-    ``injected_concentration`` is the concentration of the injected fluid.
-    """
-
-    injections: tuple = ()
-    productions: tuple = ()
-    lineic_production_rate: float = 0.0
-    injected_concentration: float = 1.0
-
-    def total_injection(self):
-        return sum(rate for _, rate in self.injections)
-
-    def total_production(self):
-        return (sum(rate for _, rate in self.productions)
-                + self.lineic_production_rate)
-
-    def check_compatibility(self, rel_tol=1e-12):
-        qi, qp = self.total_injection(), self.total_production()
-        scale = max(abs(qi), abs(qp), 1.0)
-        if abs(qi - qp) > rel_tol * scale:
-            raise ValueError(
-                f"incompatible sources: injection {qi} vs production {qp}")
-
-
-def five_spot_sources(L, rate):
-    """Corner injection/production pair of the quarter five-spot reservoir."""
-    return SourceModel(injections=(((L, L), rate),),
-                       productions=(((0.0, 0.0), rate),))
-
-
-def radial_test_sources():
-    """Corner injection at (1,1) balanced by the lineic boundary production."""
-    return SourceModel(injections=(((1.0, 1.0), np.pi / 2.0),),
-                       lineic_production_rate=np.pi / 2.0)

@@ -11,6 +11,12 @@ import scipy.sparse as sp
 from . import linalg
 
 
+# relative change of the power-iteration eigenvalue estimate that counts
+# as converged, and the iteration cap
+POWER_TOL = 1e-8
+POWER_MAX_ITER = 500
+
+
 class QualityError(RuntimeError):
     pass
 
@@ -20,17 +26,16 @@ class QualityReport:
     h: float
     ndof: int
     coercivity: float
-    consistency: dict
-    limit_conformity: dict
+    consistency: float
+    limit_conformity: float
 
 
 def _ell_solver(gd):
     """Solver of the zero-mean elliptic system (G + m m^T) x = b."""
-    return linalg.spd_solver(gd.grad_gram(), rank_one=gd.recon_measures,
-                             tol=1e-10)
+    return linalg.spd_solver(gd.grad_gram(), rank_one=gd.recon_measures)
 
 
-def coercivity_constant(gd, tol=1e-8, max_iter=500, seed=0):
+def coercivity_constant(gd, seed=0):
     """Worst-case ratio of the reconstructed L2 norm to the elliptic norm,
     via power iteration on the generalized eigenproblem of the two Gram
     matrices.  The elliptic operator is factored once for all iterations."""
@@ -39,13 +44,13 @@ def coercivity_constant(gd, tol=1e-8, max_iter=500, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(gd.ndof)
     lam_prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = ell_solve(m * x)
         y /= np.linalg.norm(y)
         num = float(y @ (m * y))
         den = gd.norm_ell(y) ** 2
         lam = num / den
-        if abs(lam - lam_prev) <= tol * max(lam, 1e-30):
+        if abs(lam - lam_prev) <= POWER_TOL * max(lam, 1e-30):
             return float(np.sqrt(lam))
         lam_prev = lam
         x = y
@@ -74,7 +79,7 @@ def consistency_defect(gd, f, grad_f):
     rhs_gx = gd.grad_x.T @ _cell_integrals(gq, g_vals[:, 0], gd.n_grad_cells)
     rhs_gy = gd.grad_y.T @ _cell_integrals(gq, g_vals[:, 1], gd.n_grad_cells)
     A = (sp.diags(gd.recon_measures) + gd.grad_gram()).tocsr()
-    w = linalg.solve_spd(A, rhs_pi + rhs_gx + rhs_gy, tol=1e-10)
+    w = linalg.solve_spd(A, rhs_pi + rhs_gx + rhs_gy)
 
     f_sq = float(rq.weights @ f_vals ** 2)
     g_sq = float(gq.weights @ (g_vals ** 2).sum(axis=1))
@@ -86,8 +91,9 @@ def consistency_defect(gd, f, grad_f):
     return float(np.sqrt(max(err_pi, 0.0)) + np.sqrt(max(err_g, 0.0)))
 
 
-def _check_normal_trace(phi, L, tol=1e-10, n_samples=256):
-    s = (np.arange(n_samples) + 0.5) / n_samples * L
+def _check_normal_trace(phi, L):
+    """Sample the normal trace at 256 midpoints per side of (0, L)^2."""
+    s = (np.arange(256) + 0.5) / 256 * L
     zeros = np.zeros_like(s)
     full = np.full_like(s, L)
     for pts, normal in (
@@ -98,7 +104,7 @@ def _check_normal_trace(phi, L, tol=1e-10, n_samples=256):
         vals = np.asarray(phi(pts), dtype=float)
         trace = vals[:, 0] * normal[0] + vals[:, 1] * normal[1]
         scale = max(float(np.abs(vals).max()), 1.0)
-        if np.any(np.abs(trace) > tol * scale):
+        if np.any(np.abs(trace) > 1e-10 * scale):
             raise ValueError(
                 "test field has nonzero normal trace on the boundary "
                 f"(max {np.abs(trace).max():.3e})")
@@ -152,15 +158,12 @@ def default_test_field():
     return phi, div_phi
 
 
-def quality_report(gd, test_function=None, test_field=None):
-    if test_function is None:
-        test_function = default_test_function()
-    if test_field is None:
-        test_field = default_test_field()
-    f, grad_f = test_function
-    phi, div_phi = test_field
+def quality_report(gd):
+    """The three indicators with the default test function and field."""
+    f, grad_f = default_test_function()
+    phi, div_phi = default_test_field()
     return QualityReport(
         h=gd.h, ndof=gd.ndof,
         coercivity=coercivity_constant(gd),
-        consistency={"sin_product": consistency_defect(gd, f, grad_f)},
-        limit_conformity={"curl_bubble": limit_conformity_defect(gd, phi, div_phi)})
+        consistency=consistency_defect(gd, f, grad_f),
+        limit_conformity=limit_conformity_defect(gd, phi, div_phi))

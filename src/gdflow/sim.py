@@ -13,13 +13,14 @@ from .gd import scheme_a, scheme_b
 from .mesh import build_cartesian, build_dual, build_structured_triangulation, \
     load_mesh
 from .physics import AnalyticalRadialSolution, DispersionParams, \
-    MobilityTensor, ViscosityModel, five_spot_sources, radial_test_sources
+    MobilityTensor, ViscosityModel
 
 TESTS = ("analytic1", "analytic2", "lit1", "lit2")
 SCHEMES = ("a", "b")
 
 # per-test physics defaults: side length, final time, mobility ratio,
-# molecular diffusion, dispersion lengths, porosity, permeability, well rate
+# molecular diffusion, dispersion lengths, porosity, permeability, and the
+# five-spot well rate (None: the radial sources of the analytic tests)
 _TEST_DEFAULTS = {
     "analytic1": dict(side=1.0, t_final=0.4, m_ratio=1.0, dm=0.05,
                       dl=0.0, dt_disp=0.0, phi=1.0, perm=1.0, rate=None),
@@ -72,6 +73,8 @@ class RunConfig:
         if n_steps < 1 or abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.t_final:
             raise ConfigError(
                 f"dt={cfg.dt} does not divide t_final={cfg.t_final}")
+        if cfg.vtk_every < 0:
+            raise ConfigError(f"vtk_every must be >= 0, got {cfg.vtk_every}")
         if cfg.scheme == "a":
             if cfg.n is None:
                 raise ConfigError("scheme a needs the cell count n")
@@ -157,23 +160,16 @@ def build_problem(config):
     gd = build_discretisation(config)
     mobility = MobilityTensor(
         k=config.perm,
-        viscosity_model=ViscosityModel(mu0=1.0, M=config.m_ratio))
+        viscosity_model=ViscosityModel(M=config.m_ratio))
     params = DispersionParams(phi=config.phi, dm=config.dm,
                               dl=config.dl, dt_=config.dt_disp)
-    if config.test in ("analytic1", "analytic2"):
-        sources = radial_test_sources()
-        # production acts on the Dirichlet edges; the constrained rows
-        # replace the reaction term in the transport equation
-        dsrc = discretize_sources(gd, sources, production_in_transport=False)
-        exact = AnalyticalRadialSolution(dm=config.dm)
-        dirichlet = _radial_dirichlet_dofs(gd)
-    else:
-        sources = five_spot_sources(config.side, _TEST_DEFAULTS[config.test]["rate"])
-        dsrc = discretize_sources(gd, sources)
-        exact = None
-        dirichlet = None
+    rate = _TEST_DEFAULTS[config.test]["rate"]
+    dsrc = discretize_sources(gd, config.side, rate)
+    if rate is not None:  # five-spot: pure Neumann, no exact solution
+        return Problem(gd=gd, mobility=mobility, params=params, dsrc=dsrc)
     return Problem(gd=gd, mobility=mobility, params=params, dsrc=dsrc,
-                   exact=exact, dirichlet_dofs=dirichlet)
+                   exact=AnalyticalRadialSolution(dm=config.dm),
+                   dirichlet_dofs=_radial_dirichlet_dofs(gd))
 
 
 def error_norms(gd, c, exact, t):

@@ -2,9 +2,10 @@
 
 They are the plain scalar and loop versions of code that the package
 computes with array operations: the single-velocity dispersion tensors, the
-partial-sum form of the radial profile, and the loop builders of the
-structured triangulation, the edge incidence counts, the VTK polygons, the
-Gauss points of rectangles and the P1 gradients and dual quadrature points.
+partial-sum form of the radial profile, the ray-angle form of the lineic
+production, and the loop builders of the structured triangulation, the edge
+incidence counts, the VTK polygons, the Gauss points of rectangles and the
+P1 gradients and dual quadrature points.
 """
 
 import numpy as np
@@ -47,6 +48,23 @@ def psi_direct(z, N):
     with np.errstate(under="ignore"):
         out = np.exp(-z) * total
     return out if out.size > 1 else float(out[0])
+
+
+def production_angle(s, edge):
+    """Angle at I=(1,1) between the rays I->O (O the origin) and I->M, where
+    M = (s, 0) on the bottom edge or (0, s) on the left edge."""
+    s = np.asarray(s, dtype=float)
+    if edge == "bottom":
+        vx, vy = s - 1.0, -np.ones_like(s)
+    elif edge == "left":
+        vx, vy = -np.ones_like(s), s - 1.0
+    else:
+        raise ValueError(f"edge must be 'bottom' or 'left', got {edge!r}")
+    # reference ray I->O is (-1, -1)
+    cross = np.abs(vx * (-1.0) - vy * (-1.0))
+    dot = -vx - vy
+    ang = np.arctan2(cross, dot)
+    return ang if ang.ndim else float(ang)
 
 
 def loop_triangles(reps):

@@ -156,8 +156,8 @@ def test_criterion_08_quality_indicators():
     cds = [reports[n].coercivity for n in (8, 16, 32)]
     spread = (max(cds) - min(cds)) / min(cds)
     assert spread <= 0.05, cds
-    sds = [reports[n].consistency["sin_product"] for n in (8, 16, 32)]
-    wds = [reports[n].limit_conformity["curl_bubble"] for n in (8, 16, 32)]
+    sds = [reports[n].consistency for n in (8, 16, 32)]
+    wds = [reports[n].limit_conformity for n in (8, 16, 32)]
     assert sds[0] > sds[1] > sds[2], sds
     assert wds[0] > wds[1] > wds[2], wds
 

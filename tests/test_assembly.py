@@ -12,6 +12,7 @@ from gdflow.assembly import (
     ConfigError,
     PicardError,
     DirichletBC,
+    DiscreteSources,
     artificial_diffusion,
     convection_matrix,
     diffusion_matrix,
@@ -24,14 +25,7 @@ from gdflow.assembly import (
 )
 from gdflow.gd import scheme_a, scheme_b
 from gdflow.mesh import build_cartesian, build_dual, build_structured_triangulation
-from gdflow.physics import (
-    DispersionParams,
-    MobilityTensor,
-    SourceModel,
-    ViscosityModel,
-    five_spot_sources,
-    radial_test_sources,
-)
+from gdflow.physics import DispersionParams, MobilityTensor, ViscosityModel
 
 
 def make_a(n=3, L=1.0):
@@ -43,6 +37,11 @@ def make_b(reps=2, L=1.0):
     return scheme_b(mesh, build_dual(mesh))
 
 
+def no_sources(gd):
+    return DiscreteSources(q_injection=np.zeros(gd.ndof),
+                           q_production=np.zeros(gd.ndof))
+
+
 def unit_mobility():
     return MobilityTensor(k=1.0, viscosity_model=ViscosityModel(M=1.0))
 
@@ -50,7 +49,7 @@ def unit_mobility():
 class TestDiscreteSources:
     def test_dirac_lands_on_anchored_dof(self):
         gd = make_a(4)
-        dsrc = discretize_sources(gd, five_spot_sources(1.0, 2.0))
+        dsrc = discretize_sources(gd, 1.0, 2.0)
         corner = int(np.argmin(((gd.anchors - [1.0, 1.0]) ** 2).sum(axis=1)))
         origin = int(np.argmin((gd.anchors ** 2).sum(axis=1)))
         assert dsrc.q_injection[corner] == 2.0
@@ -59,15 +58,14 @@ class TestDiscreteSources:
 
     def test_off_grid_well_rejected(self):
         gd = make_a(4)
-        src = SourceModel(injections=(((0.513, 0.1), 1.0),),
-                          productions=(((0.0, 0.0), 1.0),))
+        # the grid has side 1 and spacing 0.25: no dof at (0.9, 0.9)
         with pytest.raises(ConfigError, match="well point"):
-            discretize_sources(gd, src)
+            discretize_sources(gd, 0.9, 1.0)
 
     @pytest.mark.parametrize("make", [make_a, make_b], ids=["a", "b"])
     def test_lineic_weights_balance(self, make):
         gd = make(4)
-        dsrc = discretize_sources(gd, radial_test_sources())
+        dsrc = discretize_sources(gd, 1.0, None)
         assert np.isclose(dsrc.q_production.sum(), np.pi / 2.0)
         assert np.all(dsrc.q_production >= 0.0)
         # only dofs on the bottom/left edges produce
@@ -81,15 +79,14 @@ class TestDiscreteSources:
 class TestPressure:
     def test_zero_sources(self, make):
         gd = make(3)
-        dsrc = discretize_sources(
-            gd, SourceModel(injections=(), productions=()))
+        dsrc = no_sources(gd)
         p, U, info = solve_pressure(gd, np.zeros(gd.ndof), unit_mobility(), dsrc)
         assert np.allclose(p, 0.0)
         assert np.allclose(U, 0.0)
 
     def test_zero_mean_and_residual(self, make):
         gd = make(4)
-        dsrc = discretize_sources(gd, five_spot_sources(1.0, 3.0))
+        dsrc = discretize_sources(gd, 1.0, 3.0)
         c = np.linspace(0.0, 1.0, gd.ndof)
         mobility = MobilityTensor(k=1.0, viscosity_model=ViscosityModel(M=40.0))
         p, U, info = solve_pressure(gd, c, mobility, dsrc)
@@ -199,8 +196,7 @@ class TestTransportStep:
 
     def test_mass_conserved_without_sources(self):
         gd = make_a(4)
-        dsrc = discretize_sources(
-            gd, SourceModel(injections=(), productions=()))
+        dsrc = no_sources(gd)
         rng = np.random.default_rng(6)
         U = 0.3 * rng.standard_normal((gd.n_grad_cells, 2))
         c_prev = np.clip(rng.random(gd.ndof), 0.0, 1.0)
@@ -212,7 +208,7 @@ class TestTransportStep:
 
     def test_constant_fixed_point(self):
         gd = make_b(2)
-        dsrc = discretize_sources(gd, five_spot_sources(1.0, 2.0))
+        dsrc = discretize_sources(gd, 1.0, 2.0)
         c_prev = np.ones(gd.ndof)
         _, U, _ = solve_pressure(gd, c_prev, unit_mobility(), dsrc)
         c, info = transport_step(gd, U, c_prev, 0.05, dsrc, self.params(),
@@ -223,8 +219,7 @@ class TestTransportStep:
         # when the solution stays inside [0,1] the truncated system matches
         # the plain linear system
         gd = make_a(4)
-        dsrc = discretize_sources(
-            gd, SourceModel(injections=(), productions=()))
+        dsrc = no_sources(gd)
         rng = np.random.default_rng(10)
         U = 0.1 * rng.standard_normal((gd.n_grad_cells, 2))
         c_prev = 0.25 + 0.5 * rng.random(gd.ndof)
@@ -240,8 +235,7 @@ class TestTransportStep:
 
     def test_dirichlet_values_enforced_and_lifted(self):
         gd = make_a(4)
-        dsrc = discretize_sources(gd, radial_test_sources(),
-                                  production_in_transport=False)
+        dsrc = discretize_sources(gd, 1.0, None)
         rng = np.random.default_rng(12)
         U = 0.2 * rng.standard_normal((gd.n_grad_cells, 2))
         c_prev = np.zeros(gd.ndof)
@@ -258,15 +252,14 @@ class TestTransportStep:
         base = sp.diags(mass / dt) + diffusion_matrix(gd, U, params, "centred")
         C = convection_matrix(gd, U, "centred")
         r = base @ c + C @ np.clip(c, 0.0, 1.0) \
-            - mass * c_prev / dt - dsrc.chat * dsrc.q_injection
+            - mass * c_prev / dt - dsrc.q_injection
         free = np.ones(gd.ndof, dtype=bool)
         free[dofs] = False
         assert np.max(np.abs(r[free])) <= 1e-9
 
     def test_picard_reports_iterations(self):
         gd = make_a(3)
-        dsrc = discretize_sources(
-            gd, SourceModel(injections=(), productions=()))
+        dsrc = no_sources(gd)
         U = np.zeros((gd.n_grad_cells, 2))
         c, info = transport_step(gd, U, np.zeros(gd.ndof), 0.1, dsrc,
                                  self.params(), "centred")
@@ -285,6 +278,7 @@ PROPERTY = settings(database=None, derandomize=True, deadline=None,
 GEOMETRIES = st.sampled_from([("a", 3), ("a", 4), ("b", 1), ("b", 2)])
 SEEDS = st.integers(0, 2 ** 32 - 1)
 STEPS = st.sampled_from([0.01, 0.1, 1.0])
+RATES = st.sampled_from([0.5, 2.0, 30.0])
 
 
 def converged_step(variant, *args, **kwargs):
@@ -309,8 +303,7 @@ class TestTransportProperties:
     def test_mass_conserved_without_sources(self, variant, geometry, seed,
                                             dt):
         gd = small_gd(*geometry)
-        dsrc = discretize_sources(
-            gd, SourceModel(injections=(), productions=()))
+        dsrc = no_sources(gd)
         rng = np.random.default_rng(seed)
         U = 0.3 * rng.standard_normal((gd.n_grad_cells, 2))
         c_prev = rng.random(gd.ndof)
@@ -324,24 +317,42 @@ class TestTransportProperties:
         assert abs(m1 - m0) <= bound + 1e-12 * m0
 
     @PROPERTY
-    @given(geometry=GEOMETRIES, dt=STEPS,
-           rate=st.sampled_from([0.5, 2.0, 30.0]))
+    @given(geometry=GEOMETRIES, dt=STEPS, rate=RATES)
     def test_constant_one_is_a_fixed_point(self, variant, geometry, dt,
                                            rate):
         gd = small_gd(*geometry)
-        dsrc = discretize_sources(gd, five_spot_sources(1.0, rate))
+        dsrc = discretize_sources(gd, 1.0, rate)
         c_prev = np.ones(gd.ndof)
         _, U, _ = solve_pressure(gd, c_prev, unit_mobility(), dsrc)
         c, _ = transport_step(gd, U, c_prev, dt, dsrc, self.params, variant)
         assert np.max(np.abs(c - 1.0)) <= 1e-10
 
     @PROPERTY
+    @given(geometry=GEOMETRIES, seed=SEEDS, dt=STEPS, rate=RATES)
+    def test_mass_balance_with_sources(self, variant, geometry, seed, dt,
+                                       rate):
+        gd = small_gd(*geometry)
+        dsrc = discretize_sources(gd, 1.0, rate)
+        rng = np.random.default_rng(seed)
+        c_prev = rng.random(gd.ndof)
+        _, U, _ = solve_pressure(gd, c_prev, unit_mobility(), dsrc)
+        c, info = converged_step(variant, gd, U, c_prev, dt, dsrc,
+                                 self.params)
+        mass = self.params.phi * gd.recon_measures
+        # diffusion and convection have zero column sums: the balance
+        # defect is the sum of the final residual F(c)
+        defect = (mass @ (c - c_prev) / dt
+                  - (dsrc.q_injection.sum() - dsrc.q_production @ c))
+        b0 = mass * c_prev / dt + dsrc.q_injection
+        assert abs(defect) <= (np.sqrt(gd.ndof) * info["picard_residual"]
+                               + 1e-12 * np.linalg.norm(b0))
+
+    @PROPERTY
     @given(geometry=GEOMETRIES, seed=SEEDS, dt=STEPS)
     def test_dirichlet_values_exact_and_free_rows_solved(
             self, variant, geometry, seed, dt):
         gd = small_gd(*geometry)
-        dsrc = discretize_sources(gd, radial_test_sources(),
-                                  production_in_transport=False)
+        dsrc = discretize_sources(gd, 1.0, None)
         rng = np.random.default_rng(seed)
         U = 0.3 * rng.standard_normal((gd.n_grad_cells, 2))
         c_prev = rng.random(gd.ndof)
@@ -357,11 +368,26 @@ class TestTransportProperties:
         base = sp.diags(mass / dt) + diffusion_matrix(gd, U, self.params,
                                                       variant)
         C = convection_matrix(gd, U, variant)
-        b0 = mass * c_prev / dt + dsrc.chat * dsrc.q_injection
+        b0 = mass * c_prev / dt + dsrc.q_injection
         free = np.ones(gd.ndof, dtype=bool)
         free[dofs] = False
         r = (base @ c + C @ np.clip(c, 0.0, 1.0) - b0)[free]
         assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(b0)
+
+
+class TestPressureProperties:
+    @PROPERTY
+    @given(geometry=GEOMETRIES, seed=SEEDS, rate=RATES,
+           m_ratio=st.sampled_from([1.0, 41.0]))
+    def test_zero_mean_and_residual(self, geometry, seed, rate, m_ratio):
+        gd = small_gd(*geometry)
+        dsrc = discretize_sources(gd, 1.0, rate)
+        c_prev = np.random.default_rng(seed).random(gd.ndof)
+        mobility = MobilityTensor(k=1.0,
+                                  viscosity_model=ViscosityModel(M=m_ratio))
+        _, _, info = solve_pressure(gd, c_prev, mobility, dsrc)
+        assert abs(info["pressure_mean"]) <= 1e-8 * info["rhs_norm"]
+        assert info["residual"] <= 1e-9 * info["rhs_norm"]
 
 
 class TestCentredStall:
@@ -370,8 +396,7 @@ class TestCentredStall:
                               "nonzero residual at high cell Peclet numbers")
     def test_centred_step_converges_at_high_peclet(self):
         gd = small_gd("a", 3)
-        dsrc = discretize_sources(
-            gd, SourceModel(injections=(), productions=()))
+        dsrc = no_sources(gd)
         rng = np.random.default_rng(0)
         U = rng.standard_normal((gd.n_grad_cells, 2))
         c_prev = rng.random(gd.ndof)
@@ -382,7 +407,7 @@ class TestCentredStall:
 class TestMassBalanceResidual:
     def test_consistent_step_has_small_residual(self):
         gd = make_a(5)
-        dsrc = discretize_sources(gd, five_spot_sources(1.0, 2.0))
+        dsrc = discretize_sources(gd, 1.0, 2.0)
         mobility = unit_mobility()
         params = DispersionParams(phi=0.1, dm=0.5)
         c_prev = np.zeros(gd.ndof)

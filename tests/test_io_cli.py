@@ -278,6 +278,13 @@ class TestCli:
         assert "25 vertices" in out
         assert "32 triangles" in out
 
+    @pytest.mark.parametrize("side", ["nan", "inf"])
+    def test_mesh_info_non_finite_side_exit_1(self, capsys, side):
+        assert main(["mesh-info", "--n", "4", "--side", side]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert captured.out == ""
+
     def test_mesh_info_requires_argument(self, capsys):
         assert main(["mesh-info"]) == 1
 
@@ -301,9 +308,7 @@ class TestCli:
 
     def test_run_picard_failure_exit_2(self, tmp_path, capsys, monkeypatch):
         # one Picard iteration cannot converge the first transport step
-        real = assembly.transport_step
-        monkeypatch.setattr(assembly, "transport_step",
-                            lambda *args, **kw: real(*args, **kw, max_iter=1))
+        monkeypatch.setattr(assembly, "PICARD_MAX_ITER", 1)
         path = write_config(
             tmp_path, "test=analytic1\nscheme=a\nn=4\ndt=0.1\n"
                       f"out_dir={tmp_path / 'out'}\n")
@@ -312,9 +317,7 @@ class TestCli:
 
     def test_quality_failure_exit_2(self, tmp_path, capsys, monkeypatch):
         # one power iteration cannot meet the convergence test
-        real = quality.coercivity_constant
-        monkeypatch.setattr(quality, "coercivity_constant",
-                            lambda gd: real(gd, max_iter=1))
+        monkeypatch.setattr(quality, "POWER_MAX_ITER", 1)
         assert main(["quality", "--scheme", "a", "--levels", "1",
                      "--base", "4", "--out-dir", str(tmp_path)]) == 2
         assert "numerical failure" in capsys.readouterr().err

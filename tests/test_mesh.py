@@ -63,7 +63,8 @@ class TestCartesianGrid:
         idx = 3 + 1 * (grid.N + 1)
         assert np.allclose(grid.nodes[idx], [3 * grid.h, 1 * grid.h])
 
-    @pytest.mark.parametrize("N,L", [(1, 1.0), (0, 1.0), (4, 0.0), (4, -2.0)])
+    @pytest.mark.parametrize("N,L", [(1, 1.0), (0, 1.0), (4, 0.0), (4, -2.0),
+                                     (4, np.nan), (4, np.inf)])
     def test_invalid_parameters(self, N, L):
         with pytest.raises(MeshError):
             build_cartesian(N, L)
@@ -92,8 +93,9 @@ class TestStructuredTriangulation:
     def test_invalid_parameters(self):
         with pytest.raises(MeshError):
             build_structured_triangulation(0, 1.0)
-        with pytest.raises(MeshError):
-            build_structured_triangulation(2, -1.0)
+        for L in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(MeshError, match="finite and positive"):
+                build_structured_triangulation(2, L)
 
     @pytest.mark.parametrize("reps", [1, 2, 4, 7])
     def test_matches_loop_builder(self, reps):

@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
 
+from gdflow.assembly import ConfigError, discretize_sources
+from gdflow.gd import scheme_a, scheme_b
+from gdflow.mesh import (
+    TriangularMesh,
+    build_cartesian,
+    build_dual,
+    build_structured_triangulation,
+)
 from gdflow.physics import (
     AnalyticalRadialSolution,
     DispersionParams,
     MobilityTensor,
-    SourceModel,
     ViscosityModel,
-    boundary_production_weights,
-    five_spot_sources,
-    production_angle,
     psi,
-    radial_test_sources,
     tensor_D_field,
     truncate,
     viscosity,
 )
 
-from oracles import psi_direct, tensor_D, tensor_Dh
+from oracles import production_angle, psi_direct, tensor_D, tensor_Dh
 
 
 def tensor_at(params, u, h=None):
@@ -38,33 +41,33 @@ class TestTruncate:
 
 class TestViscosity:
     def test_m41_endpoint(self):
-        model = ViscosityModel(mu0=1.0, M=41.0)
+        model = ViscosityModel(M=41.0)
         assert np.isclose(viscosity(model, 1.0), 1.0 / 41.0)
 
     def test_m1_constant(self):
-        model = ViscosityModel(mu0=2.0, M=1.0)
+        model = ViscosityModel(M=1.0)
         for c in (0.0, 0.3, 1.0):
-            assert np.isclose(viscosity(model, c), 2.0)
+            assert viscosity(model, c) == 1.0
 
     def test_argument_clamped(self):
-        model = ViscosityModel(mu0=1.0, M=40.0)
+        model = ViscosityModel(M=40.0)
         assert viscosity(model, -3.0) == viscosity(model, 0.0)
         assert viscosity(model, 2.0) == viscosity(model, 1.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            ViscosityModel(mu0=0.0)
+            ViscosityModel(M=0.0)
         with pytest.raises(ValueError):
             ViscosityModel(M=0.5)
 
-    @pytest.mark.parametrize("kwargs", [dict(mu0=np.nan), dict(mu0=np.inf),
-                                        dict(M=np.nan), dict(M=np.inf)])
+    @pytest.mark.parametrize("kwargs", [dict(M=np.nan), dict(M=np.inf),
+                                        dict(M=-np.inf)])
     def test_non_finite_rejected(self, kwargs):
         with pytest.raises(ValueError, match="finite"):
             ViscosityModel(**kwargs)
 
     def test_mobility_bounds(self):
-        # k / mu(c) runs from k / mu0 at c = 0 to k M / mu0 at c = 1
+        # k / mu(c) runs from k at c = 0 to k M at c = 1
         mob = MobilityTensor(k=80.0, viscosity_model=ViscosityModel(M=41.0))
         assert np.isclose(mob.scalar(0.0), 80.0)
         assert np.isclose(mob.scalar(1.0), 80.0 * 41.0)
@@ -209,11 +212,54 @@ class TestAnalyticalRadialSolution:
             sol.concentration(np.array([0.5, 0.5]), 0.0)
 
 
+def radial_production(gd):
+    return discretize_sources(gd, 1.0, None).q_production
+
+
+def edge_dofs(gd, axis):
+    """Dofs on the edge through the origin along ``axis``, sorted."""
+    on_edge = np.flatnonzero(np.abs(gd.anchors[:, 1 - axis]) < 1e-12)
+    return on_edge[np.argsort(gd.anchors[on_edge, axis])]
+
+
+def oracle_production(gd):
+    """Angle increments of ``production_angle`` over the midpoint breaks
+    between consecutive edge anchors, summed per dof."""
+    q = np.zeros(gd.ndof)
+    for axis, edge in ((0, "bottom"), (1, "left")):
+        dofs = edge_dofs(gd, axis)
+        s = gd.anchors[dofs, axis]
+        breaks = np.concatenate([[0.0], 0.5 * (s[1:] + s[:-1]), [1.0]])
+        np.add.at(q, dofs, np.diff(production_angle(breaks, edge)))
+    return q
+
+
+def edge_jittered_gd(reps=3, seed=1):
+    """Scheme B with the vertices inside the two production edges moved
+    along them: uneven production segments."""
+    mesh = build_structured_triangulation(reps, 1.0)
+    v = mesh.vertices.copy()
+    h = 1.0 / (2 * reps)
+    rng = np.random.default_rng(seed)
+    for axis in (0, 1):
+        inner = (np.abs(v[:, 1 - axis]) < 1e-12) & (v[:, axis] > 1e-12) \
+            & (v[:, axis] < 1.0 - 1e-12)
+        v[inner, axis] += rng.uniform(-0.3 * h, 0.3 * h, int(inner.sum()))
+    mesh = TriangularMesh(vertices=v, triangles=mesh.triangles)
+    return scheme_b(mesh, build_dual(mesh))
+
+
 class TestLineicProduction:
     def test_full_edges(self):
         for edge in ("bottom", "left"):
-            w = boundary_production_weights(np.array([0.0, 1.0]), edge)
-            assert np.isclose(w.sum(), np.pi / 4.0)
+            assert np.isclose(production_angle(1.0, edge)
+                              - production_angle(0.0, edge), np.pi / 4.0)
+        gd = scheme_a(build_cartesian(4, 1.0))
+        q = radial_production(gd)
+        assert np.isclose(q.sum(), np.pi / 2.0)
+        # the two edges mirror each other about the diagonal
+        assert np.allclose(q[edge_dofs(gd, 0)], q[edge_dofs(gd, 1)],
+                           rtol=0.0, atol=1e-15)
 
     def test_angle_against_quadrature_oracle(self):
         # integrate dtheta numerically along the bottom edge
@@ -221,14 +267,20 @@ class TestLineicProduction:
         th = production_angle(s, "bottom")
         num = np.trapezoid(np.gradient(th, s), s)
         assert np.isclose(th[-1] - th[0], num, atol=1e-6)
-        w = boundary_production_weights(np.array([0.2, 0.8]), "bottom")
-        assert np.isclose(w[0], th[-1] - th[0], atol=1e-12)
+        # the per-dof production is the oracle's angle increments
+        mesh = build_structured_triangulation(3, 1.0)
+        for gd in (scheme_a(build_cartesian(5, 1.0)),
+                   scheme_b(mesh, build_dual(mesh)), edge_jittered_gd()):
+            assert np.allclose(radial_production(gd), oracle_production(gd),
+                               rtol=0.0, atol=1e-15)
 
     def test_weights_nonnegative_and_additive(self):
-        breaks = np.array([0.0, 0.1, 0.35, 0.6, 1.0])
-        w = boundary_production_weights(breaks, "left")
-        assert np.all(w >= 0.0)
-        assert np.isclose(w.sum(), np.pi / 4.0)
+        gd = edge_jittered_gd()
+        q = radial_production(gd)
+        assert np.all(q >= 0.0)
+        on_edges = np.union1d(edge_dofs(gd, 0), edge_dofs(gd, 1))
+        assert np.all(q[np.setdiff1d(np.arange(gd.ndof), on_edges)] == 0.0)
+        assert np.isclose(q.sum(), np.pi / 2.0)
 
     def test_invalid_edge(self):
         with pytest.raises(ValueError):
@@ -236,19 +288,24 @@ class TestLineicProduction:
 
 
 class TestSourceModel:
+    """The two well configurations built by ``discretize_sources``."""
+
     def test_five_spot_balanced(self):
-        src = five_spot_sources(1000.0, 30.0)
-        src.check_compatibility()
-        assert src.total_injection() == 30.0
+        gd = scheme_a(build_cartesian(4, 1000.0))
+        dsrc = discretize_sources(gd, 1000.0, 30.0)
+        assert dsrc.q_injection.sum() == dsrc.q_production.sum() == 30.0
+        assert dsrc.production_in_transport
+        assert dsrc.pressure_rhs().sum() == 0.0
 
     def test_radial_sources_balanced(self):
-        src = radial_test_sources()
-        src.check_compatibility()
-        assert np.isclose(src.total_injection(), np.pi / 2.0)
-        assert np.isclose(src.lineic_production_rate, np.pi / 2.0)
+        gd = scheme_a(build_cartesian(4, 1.0))
+        dsrc = discretize_sources(gd, 1.0, None)
+        assert np.isclose(dsrc.q_injection.sum(), np.pi / 2.0)
+        assert np.isclose(dsrc.q_production.sum(), np.pi / 2.0)
+        assert not dsrc.production_in_transport
 
     def test_incompatible_rejected(self):
-        src = SourceModel(injections=(((0.5, 0.5), 2.0),),
-                          productions=(((0.0, 0.0), 1.0),))
-        with pytest.raises(ValueError, match="incompatible"):
-            src.check_compatibility()
+        # no dof sits at the injection corner (1, 1) of the radial test
+        gd = scheme_a(build_cartesian(3, 1.6))
+        with pytest.raises(ConfigError, match="well point"):
+            discretize_sources(gd, 1.6, None)

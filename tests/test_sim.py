@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gdflow.physics import SourceModel
 from gdflow.sim import (
     ConfigError,
     RunConfig,
@@ -42,6 +41,7 @@ class TestRunConfig:
         dict(test="analytic1", scheme="a", n=5),            # missing dt
         dict(test="analytic1", scheme="a", dt=0.02),        # missing n
         dict(test="analytic1", scheme="b", dt=0.02),        # missing mesh
+        dict(test="analytic1", scheme="a", n=5, dt=0.02, vtk_every=-3),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -79,8 +79,7 @@ class TestRunCoupled:
         problem = build_problem(cfg)
         dsrc = assembly.DiscreteSources(
             q_injection=np.zeros(problem.gd.ndof),
-            q_production=np.zeros(problem.gd.ndof),
-            chat=1.0)
+            q_production=np.zeros(problem.gd.ndof))
         problem = type(problem)(gd=problem.gd, mobility=problem.mobility,
                                 params=problem.params, dsrc=dsrc)
         state, report = run_coupled(cfg, problem=problem)
@@ -142,12 +141,13 @@ class TestPicardIteration:
         args = (gd, U, c0, 0.1, problem.dsrc, problem.params, "centred")
         return args, problem.dirichlet_at(0.1)
 
-    def test_picard_error_keeps_history(self):
+    def test_picard_error_keeps_history(self, monkeypatch):
         args, bc = self.first_step()
         _, info = assembly.transport_step(*args, dirichlet=bc)
         assert info["picard_iters"] >= 2
+        monkeypatch.setattr(assembly, "PICARD_MAX_ITER", 1)
         with pytest.raises(assembly.PicardError) as exc:
-            assembly.transport_step(*args, dirichlet=bc, max_iter=1)
+            assembly.transport_step(*args, dirichlet=bc)
         assert len(exc.value.history) == 1
 
     def test_step_floor_ends_backtracking(self, monkeypatch):
@@ -155,9 +155,10 @@ class TestPicardIteration:
         # halves down to the floor and takes that short step
         monkeypatch.setattr(assembly, "ARMIJO_DECREASE",
                             2.0 / assembly.MIN_STEP)
+        monkeypatch.setattr(assembly, "PICARD_MAX_ITER", 3)
         args, bc = self.first_step()
         with pytest.raises(assembly.PicardError) as exc:
-            assembly.transport_step(*args, dirichlet=bc, max_iter=3)
+            assembly.transport_step(*args, dirichlet=bc)
         history = exc.value.history
         assert len(history) == 3
         assert history[0] > history[1] > history[2]
