@@ -46,16 +46,6 @@ def parse_config(path):
     return RunConfig(**values).resolved()
 
 
-def serialize_config(config, path):
-    """Write a config file that parses back to the same RunConfig."""
-    with open(path, "w") as f:
-        for key in _KEY_TYPES:
-            val = getattr(config, _KEY_FIELDS.get(key, key))
-            if val is None:
-                continue
-            f.write(f"{key}={val}\n")
-
-
 def _fmt(v):
     if isinstance(v, float):
         return f"{v:.6g}"

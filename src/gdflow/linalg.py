@@ -11,8 +11,6 @@ gives m^T x = s, which holds for every exact solution.
 assembled matrix stays the same.
 """
 
-import hashlib
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -107,30 +105,28 @@ def solve_general(A, b):
     return spd_solver(A)(b)
 
 
-def _matrix_key(A):
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(A.indptr).tobytes())
-    h.update(np.ascontiguousarray(A.indices).tobytes())
-    h.update(np.ascontiguousarray(A.data).tobytes())
-    return (A.shape, h.hexdigest())
-
-
 class FactorizationCache:
-    """Reuses the ``spd_solver`` of the last matrix while the matrix bytes
-    (sha256) stay the same.  The transport matrix changes with the velocity
-    and with the clamp set of the Picard iterate, so even constant-viscosity
+    """Reuses the ``spd_solver`` of the last factored matrix while each new
+    matrix equals it exactly (shape, ``indptr``, ``indices`` and ``data``).
+    The cache compares against its own copy, so a caller may change a
+    matrix in place.  The transport matrix changes with the velocity, dt
+    and the clamp set of the Picard iterate, so even constant-viscosity
     runs refactorise whenever a dof enters or leaves [0, 1]."""
 
     def __init__(self):
-        self._key = None
+        self._A = None
         self._solve = None
         self.factorizations = 0
 
     def solve(self, A, b):
         A = _as_csr(A)
-        key = _matrix_key(A)
-        if key != self._key:
+        last = self._A
+        if (last is None or A.shape != last.shape
+                or not np.array_equal(A.indptr, last.indptr)
+                or not np.array_equal(A.indices, last.indices)
+                or not np.array_equal(A.data, last.data)):
+            A = A.copy()
             self._solve = spd_solver(A)
-            self._key = key
+            self._A = A
             self.factorizations += 1
         return self._solve(b)

@@ -52,8 +52,9 @@ def build_cartesian(N, L):
     """Build the node-centred Cartesian grid with N cells per side on (0, L)^2."""
     if N < 2:
         raise MeshError(f"need at least 2 cells per side, got N={N}")
-    if not (np.isfinite(L) and L > 0):
-        raise MeshError(f"side length must be finite and positive, got L={L}")
+    if not (np.isfinite(L * L) and L > 0):
+        raise MeshError("side length must be finite and positive with a "
+                        f"finite square, got L={L}")
     h = L / N
     coords_1d = np.arange(N + 1) * h
     xx, yy = np.meshgrid(coords_1d, coords_1d, indexing="xy")
@@ -121,6 +122,8 @@ def validate_mesh(mesh, area=None):
         raise MeshError(f"vertex {int(np.argmin(finite))} has non-finite "
                         "coordinates")
     areas = mesh.areas()
+    if not np.isfinite(areas.sum()):
+        raise MeshError("triangle areas overflow: their sum is not finite")
     if np.any(areas <= 0):
         bad = int(np.argmax(areas <= 0))
         raise MeshError(f"triangle {bad} is inverted or degenerate "

@@ -78,8 +78,13 @@ class RunConfig:
         if cfg.scheme == "a":
             if cfg.n is None:
                 raise ConfigError("scheme a needs the cell count n")
-        elif cfg.reps is None and cfg.mesh_file is None:
-            raise ConfigError("scheme b needs reps or mesh_file")
+            if cfg.reps is not None or cfg.mesh_file is not None:
+                raise ConfigError("scheme a takes n, not reps or mesh_file")
+        elif cfg.n is not None:
+            raise ConfigError("scheme b takes reps or mesh_file, not n")
+        elif (cfg.reps is None) == (cfg.mesh_file is None):
+            raise ConfigError("scheme b needs exactly one of reps and "
+                              "mesh_file")
         return cfg
 
     @property
@@ -193,7 +198,6 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
     if problem is None:
         problem = build_problem(config)
     gd = problem.gd
-    levels = np.linspace(0.0, config.t_final, config.n_steps + 1)
 
     if c0 is None:
         c = np.zeros(gd.ndof)
@@ -212,8 +216,7 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
     neumann = problem.dirichlet_dofs is None
 
     for n in range(config.n_steps):
-        t_next = levels[n + 1]
-        dt = t_next - levels[n]
+        t_next = (n + 1) * config.dt
         try:
             if cached_pressure is None:
                 p, U, p_info = assembly.solve_pressure(
@@ -224,7 +227,7 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
                 p, U, p_info = cached_pressure
             c_prev = c
             c, t_info = assembly.transport_step(
-                gd, U, c_prev, dt, problem.dsrc, problem.params,
+                gd, U, c_prev, config.dt, problem.dsrc, problem.params,
                 config.variant, dirichlet=problem.dirichlet_at(t_next),
                 cache=transport_cache)
         except (linalg.SolverError, assembly.PicardError) as exc:
@@ -243,7 +246,7 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
             "cmin": float(c.min()),
             "cmax": float(c.max()),
             "mass_residual": (assembly.mass_balance_residual(
-                gd, c_prev, c, dt, problem.dsrc, problem.params)
+                gd, c_prev, c, config.dt, problem.dsrc, problem.params)
                 if neumann else float("nan")),
         }
         diagnostics.append(row)
@@ -258,7 +261,7 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
         l1 = l2 = float("nan")
     report = ErrorReport(l1=l1, l2=l2, diagnostics=diagnostics,
                          wall_time=wall)
-    return State(gd=gd, p=p, c=c, U=U, t=levels[-1]), report
+    return State(gd=gd, p=p, c=c, U=U, t=config.t_final), report
 
 
 def convergence_suite(test, scheme, variant, levels):

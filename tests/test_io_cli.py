@@ -8,7 +8,6 @@ from gdflow import assembly, io_cli, linalg, quality
 from gdflow.io_cli import (
     main,
     parse_config,
-    serialize_config,
     validate_vtk,
     write_error_rows,
     write_vtk,
@@ -81,7 +80,9 @@ class TestParseConfig:
         cfg = RunConfig(test="analytic2", scheme="b", variant="dh",
                         reps=8, dt=0.01).resolved()
         path = tmp_path / "rt.cfg"
-        serialize_config(cfg, path)
+        path.write_text("".join(
+            f"{'level' if name == 'reps' else name}={value}\n"
+            for name, value in vars(cfg).items() if value is not None))
         assert parse_config(path) == cfg
 
 
@@ -231,6 +232,17 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines", ["scheme=a\nn=4", "scheme=b\nlevel=8"])
+    def test_run_conflicting_mesh_keys_exit_1(self, tmp_path, capsys, lines):
+        mesh_path = tmp_path / "tri2.mesh"
+        save_mesh(build_structured_triangulation(2, 1.0), mesh_path)
+        path = write_config(tmp_path, f"test=analytic1\n{lines}\n"
+                                      f"mesh_file={mesh_path}\ndt=0.2\n"
+                                      f"out_dir={tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exit_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 
@@ -281,6 +293,23 @@ class TestCli:
     @pytest.mark.parametrize("side", ["nan", "inf"])
     def test_mesh_info_non_finite_side_exit_1(self, capsys, side):
         assert main(["mesh-info", "--n", "4", "--side", side]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [["--reps", "2", "--side", "1e200"],
+                                      ["--n", "4", "--side", "1e160"]])
+    def test_mesh_info_overflowing_side_exit_1(self, capsys, args):
+        assert main(["mesh-info", *args]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert captured.out == ""
+
+    def test_mesh_info_overflowing_area_file_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "big.mesh"
+        path.write_text("vertices 3\n0 0\n1e200 0\n0 1e200\n"
+                        "triangles 1\n0 1 2\n")
+        assert main(["mesh-info", "--mesh-file", str(path)]) == 1
         captured = capsys.readouterr()
         assert "configuration error" in captured.err
         assert captured.out == ""

@@ -149,6 +149,22 @@ class TestFactorizationCache:
         assert np.allclose(cache.solve(A1, b), 0.5)
         assert cache.factorizations == 3
 
+    def test_equal_new_matrix_reuses_factorization(self):
+        cache = FactorizationCache()
+        b = np.ones(4)
+        cache.solve(sp.csr_matrix(2.0 * np.eye(4)), b)
+        assert np.allclose(cache.solve(sp.csr_matrix(2.0 * np.eye(4)), b), 0.5)
+        assert cache.factorizations == 1
+
+    def test_in_place_change_refactorizes(self):
+        cache = FactorizationCache()
+        A = sp.csr_matrix(2.0 * np.eye(4))
+        b = np.ones(4)
+        assert np.allclose(cache.solve(A, b), 0.5)
+        A.data[0] = 4.0
+        assert np.allclose(cache.solve(A, b), [0.25, 0.5, 0.5, 0.5])
+        assert cache.factorizations == 2
+
     def test_non_finite_rhs_raises(self):
         A = sp.diags([2.0, 4.0, 8.0]).tocsr()
         with pytest.raises(SolverError, match="non-finite"):

@@ -64,7 +64,7 @@ class TestCartesianGrid:
         assert np.allclose(grid.nodes[idx], [3 * grid.h, 1 * grid.h])
 
     @pytest.mark.parametrize("N,L", [(1, 1.0), (0, 1.0), (4, 0.0), (4, -2.0),
-                                     (4, np.nan), (4, np.inf)])
+                                     (4, np.nan), (4, np.inf), (4, 1e160)])
     def test_invalid_parameters(self, N, L):
         with pytest.raises(MeshError):
             build_cartesian(N, L)
@@ -97,6 +97,12 @@ class TestStructuredTriangulation:
             with pytest.raises(MeshError, match="finite and positive"):
                 build_structured_triangulation(2, L)
 
+    @pytest.mark.parametrize("reps,L", [(2, 1e200), (1000, 1e155)])
+    def test_overflowing_area_rejected(self, reps, L):
+        # a triangle area, or only their sum, overflows
+        with pytest.raises(MeshError, match="not finite"):
+            build_structured_triangulation(reps, L)
+
     @pytest.mark.parametrize("reps", [1, 2, 4, 7])
     def test_matches_loop_builder(self, reps):
         mesh = build_structured_triangulation(reps, 1.0)
@@ -123,6 +129,13 @@ class TestValidateMesh:
     def test_area_check(self):
         with pytest.raises(MeshError, match="sum"):
             validate_mesh(unit_square_two_triangles(), area=2.0)
+
+    def test_non_finite_area_rejected(self):
+        # finite vertices whose cross product overflows
+        vertices = np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]])
+        with pytest.raises(MeshError, match="not finite"):
+            validate_mesh(TriangularMesh(vertices=vertices,
+                                         triangles=np.array([[0, 1, 2]])))
 
     def test_edge_shared_by_three_triangles(self):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0]])

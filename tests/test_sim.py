@@ -9,7 +9,7 @@ from gdflow.sim import (
     error_norms,
     run_coupled,
 )
-from gdflow import assembly
+from gdflow import assembly, linalg
 
 
 class TestRunConfig:
@@ -42,6 +42,11 @@ class TestRunConfig:
         dict(test="analytic1", scheme="a", dt=0.02),        # missing n
         dict(test="analytic1", scheme="b", dt=0.02),        # missing mesh
         dict(test="analytic1", scheme="a", n=5, dt=0.02, vtk_every=-3),
+        dict(test="analytic1", scheme="a", n=5, reps=2, dt=0.02),
+        dict(test="analytic1", scheme="a", n=5, mesh_file="m.mesh", dt=0.02),
+        dict(test="analytic1", scheme="b", n=5, reps=2, dt=0.02),
+        dict(test="analytic1", scheme="b", reps=2, mesh_file="m.mesh",
+             dt=0.02),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -114,6 +119,33 @@ class TestRunCoupled:
         _, report = run_coupled(cfg)
         assert 0.0 < report.l1 < 0.2
         assert 0.0 < report.l2 < 0.3
+
+    TABLE1_COARSE = RunConfig(test="analytic1", scheme="a", n=25, dt=0.02)
+
+    def test_every_step_uses_config_dt(self, monkeypatch):
+        seen = []
+        real = assembly.transport_step
+
+        def recording(gd, U, c_prev, dt, *args, **kwargs):
+            seen.append(dt)
+            return real(gd, U, c_prev, dt, *args, **kwargs)
+        monkeypatch.setattr(assembly, "transport_step", recording)
+        run_coupled(self.TABLE1_COARSE)
+        assert len(seen) == 20
+        assert all(dt == 0.02 for dt in seen), sorted(set(seen))
+
+    def test_repeated_step_matrix_reuses_lu(self, monkeypatch):
+        # M = 1 fixes the transport operator: with one dt per run, a step
+        # that starts on the previous step's clamp set reuses its LU
+        calls = []
+        real = linalg.spd_solver
+
+        def counting(A, rank_one=None):
+            calls.append(A.shape)
+            return real(A, rank_one)
+        monkeypatch.setattr(linalg, "spd_solver", counting)
+        run_coupled(self.TABLE1_COARSE)
+        assert len(calls) <= 23
 
 
 class TestPicardIteration:
