@@ -126,11 +126,36 @@ def dof_velocity(gd, U):
     return (gd.overlap.T @ (mg[:, None] * U)) / weights[:, None]
 
 
-def _write_rows(f, rows, fmt):
-    """Write ``fmt % row`` per row of a 1-D or 2-D array in one call; the
-    text equals ``np.savetxt(f, rows, fmt=fmt)``."""
+def _format_rows(rows, fmt):
+    """``fmt % row`` per row of a 1-D or 2-D array, formatted in one call;
+    the text equals what ``np.savetxt(f, rows, fmt=fmt)`` writes."""
     rows = np.asarray(rows, dtype=float)
-    f.write((fmt + "\n") * len(rows) % tuple(rows.ravel().tolist()))
+    return (fmt + "\n") * len(rows) % tuple(rows.ravel().tolist())
+
+
+# (gd, text) of the last discretisation written: only the last one is kept,
+# as in linalg.FactorizationCache
+_geometry = (None, "")
+
+
+def _geometry_text(gd):
+    """The header, POINTS, CELLS and CELL_TYPES of ``gd``'s file: formatted
+    once, then reused while ``gd`` is the last discretisation written."""
+    global _geometry
+    if _geometry[0] is not gd:
+        polygons = _scheme_a_polygons if gd.kind == "a" else _scheme_b_polygons
+        points, polys = polygons(gd)
+        size = sum(len(p) + 1 for p in polys)
+        _geometry = gd, "".join([
+            "# vtk DataFile Version 3.0\n"
+            "gdflow fields\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+            f"POINTS {len(points)} double\n",
+            _format_rows(points, "%.9g %.9g 0"),
+            f"CELLS {len(polys)} {size}\n",
+            *(f"{len(p)} {' '.join(map(str, p))}\n" for p in polys),
+            f"CELL_TYPES {len(polys)}\n",
+            *("9\n" if len(p) == 4 else "7\n" for p in polys)])
+    return _geometry[1]
 
 
 def write_vtk(gd, scalar_fields, path, velocity=None):
@@ -144,28 +169,17 @@ def write_vtk(gd, scalar_fields, path, velocity=None):
         if len(values) != gd.ndof:
             raise ValueError(f"field {name!r} has {len(values)} values "
                              f"for {gd.ndof} cells")
-    if gd.kind == "a":
-        points, polys = _scheme_a_polygons(gd)
-    else:
-        points, polys = _scheme_b_polygons(gd)
+    geometry = _geometry_text(gd)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write("gdflow fields\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {len(points)} double\n")
-        _write_rows(f, points, "%.9g %.9g 0")
-        size = sum(len(p) + 1 for p in polys)
-        f.write(f"CELLS {len(polys)} {size}\n")
-        f.writelines(f"{len(p)} {' '.join(map(str, p))}\n" for p in polys)
-        f.write(f"CELL_TYPES {len(polys)}\n")
-        f.writelines("9\n" if len(p) == 4 else "7\n" for p in polys)
-        f.write(f"CELL_DATA {len(polys)}\n")
+        f.write(geometry)
+        f.write(f"CELL_DATA {gd.ndof}\n")
         for name, values in scalar_fields.items():
             f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            _write_rows(f, values, "%.9g")
+            f.write(_format_rows(values, "%.9g"))
         if velocity is not None:
             f.write("VECTORS velocity double\n")
-            _write_rows(f, dof_velocity(gd, velocity), "%.9g %.9g 0")
+            f.write(_format_rows(dof_velocity(gd, velocity), "%.9g %.9g 0"))
 
 
 def validate_vtk(path):
@@ -268,6 +282,8 @@ def _cmd_table(args):
 
 
 def _cmd_quality(args):
+    if args.levels < 1:
+        raise ConfigError(f"quality needs --levels >= 1, got {args.levels}")
     rows = []
     for lvl in range(args.levels):
         if args.scheme == "a":
@@ -292,11 +308,13 @@ def _cmd_quality(args):
 
 
 def _cmd_mesh_info(args):
-    if args.mesh_file:
+    if sum(a is not None for a in (args.n, args.reps, args.mesh_file)) > 1:
+        raise ConfigError("give only one of --n, --reps, --mesh-file")
+    if args.mesh_file is not None:
         mesh = load_mesh(args.mesh_file)
-    elif args.reps:
+    elif args.reps is not None:
         mesh = build_structured_triangulation(args.reps, args.side)
-    elif args.n:
+    elif args.n is not None:
         grid = build_cartesian(args.n, args.side)
         print(f"cartesian grid: {grid.N}x{grid.N} cells, h={grid.h:g}, "
               f"{grid.n_nodes} nodes, {grid.n_squares} primal squares, "

@@ -121,8 +121,10 @@ def validate_mesh(mesh, area=None):
     if not finite.all():
         raise MeshError(f"vertex {int(np.argmin(finite))} has non-finite "
                         "coordinates")
-    areas = mesh.areas()
-    if not np.isfinite(areas.sum()):
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = mesh.areas()
+        total = areas.sum()
+    if not np.isfinite(total):
         raise MeshError("triangle areas overflow: their sum is not finite")
     if np.any(areas <= 0):
         bad = int(np.argmax(areas <= 0))
@@ -134,7 +136,6 @@ def validate_mesh(mesh, area=None):
         raise MeshError(f"edge {tuple(edges[k].tolist())} shared by "
                         f"{counts[k]} triangles")
     if area is not None:
-        total = areas.sum()
         if abs(total - area) > 1e-12 * area:
             raise MeshError(f"triangle areas sum to {total!r}, expected {area!r}")
     return mesh

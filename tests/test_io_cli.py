@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -117,10 +118,9 @@ class TestVtk:
         (np.zeros((0, 2)), "%.9g %.9g 0"),
     ])
     def test_bulk_rows_match_savetxt(self, rows, fmt):
-        bulk, reference = io.StringIO(), io.StringIO()
-        io_cli._write_rows(bulk, rows, fmt)
+        reference = io.StringIO()
         np.savetxt(reference, rows, fmt=fmt)
-        assert bulk.getvalue() == reference.getvalue()
+        assert io_cli._format_rows(rows, fmt) == reference.getvalue()
 
     def test_2x2_grid_constant_field(self, tmp_path):
         gd = scheme_a(build_cartesian(2, 1.0))
@@ -158,6 +158,68 @@ class TestVtk:
         path.write_text("\n".join(text[:-3]) + "\n")
         with pytest.raises(ValueError):
             validate_vtk(path)
+
+    def test_geometry_built_once_per_discretisation(self, tmp_path,
+                                                     monkeypatch):
+        calls, polygons = [], io_cli._scheme_b_polygons
+
+        def counted(gd):
+            calls.append(gd)
+            return polygons(gd)
+        monkeypatch.setattr(io_cli, "_scheme_b_polygons", counted)
+        mesh = build_structured_triangulation(2, 1.0)
+        gd = scheme_b(mesh, build_dual(mesh))
+        for step, value in ((5, 0.0), (10, 1.0)):
+            write_vtk(gd, {"c": np.full(gd.ndof, value)},
+                      tmp_path / f"fields_{step}.vtk",
+                      velocity=np.ones((gd.n_grad_cells, 2)))
+            validate_vtk(tmp_path / f"fields_{step}.vtk")
+        assert calls == [gd]
+
+    def test_geometry_follows_discretisation_not_size(self, tmp_path):
+        # scheme A n=4 and scheme B reps=2 both have 25 dofs
+        mesh = build_structured_triangulation(2, 1.0)
+        gd_a = scheme_a(build_cartesian(4, 1.0))
+        gd_b = scheme_b(mesh, build_dual(mesh))
+        assert gd_a.ndof == gd_b.ndof == 25
+        cases = [(gd_a, loop_scheme_a_polygons(gd_a.geometry)[1]),
+                 (gd_b, loop_scheme_b_polygons(mesh)[1])]
+        paths = []
+        for k, (gd, ref) in enumerate(cases + cases[:1]):
+            paths.append(tmp_path / f"{k}.vtk")
+            write_vtk(gd, {"c": np.arange(25.0)}, paths[-1])
+            validate_vtk(paths[-1])
+            lines = paths[-1].read_text().splitlines()
+            start = next(i for i, ln in enumerate(lines)
+                         if ln.startswith("CELLS")) + 1
+            cells = [[int(v) for v in ln.split()[1:]]
+                     for ln in lines[start:start + 25]]
+            assert cells == ref
+        assert paths[0].read_bytes() == paths[2].read_bytes()
+        assert paths[0].read_bytes() != paths[1].read_bytes()
+
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    def test_geometry_text_matches_savetxt_of_oracle(self, kind):
+        if kind == "a":
+            gd = scheme_a(build_cartesian(3, 1.0))
+            points, polys = loop_scheme_a_polygons(gd.geometry)
+        else:
+            mesh = build_structured_triangulation(2, 1.0)
+            gd = scheme_b(mesh, build_dual(mesh))
+            points, polys = loop_scheme_b_polygons(mesh)
+        ref = io.StringIO()
+        ref.write("# vtk DataFile Version 3.0\ngdflow fields\nASCII\n"
+                  f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(points)} double\n")
+        np.savetxt(ref, points, fmt="%.9g %.9g 0")
+        ref.write(f"CELLS {len(polys)} {sum(len(p) + 1 for p in polys)}\n")
+        for p in polys:
+            ref.write(f"{len(p)} {' '.join(map(str, p))}\n")
+        ref.write(f"CELL_TYPES {len(polys)}\n")
+        np.savetxt(ref, [9 if len(p) == 4 else 7 for p in polys], fmt="%d")
+        built = io_cli._geometry_text(gd)
+        cached = io_cli._geometry_text(gd)
+        assert built == ref.getvalue()
+        assert cached is built
 
     @staticmethod
     def assert_same_polygons(built, ref):
@@ -280,6 +342,13 @@ class TestCli:
         s_vals = [float(r.split(",")[s_idx]) for r in rows[1:]]
         assert s_vals[0] > s_vals[1] > s_vals[2]
 
+    @pytest.mark.parametrize("levels", ["0", "-1"])
+    def test_quality_without_levels_exit_1(self, tmp_path, capsys, levels):
+        assert main(["quality", "--scheme", "a", "--levels", levels,
+                     "--base", "4", "--out-dir", str(tmp_path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "quality.csv").exists()
+
     def test_mesh_info_cartesian(self, capsys):
         assert main(["mesh-info", "--n", "4"]) == 0
         assert "16 primal squares" in capsys.readouterr().out
@@ -300,22 +369,44 @@ class TestCli:
     @pytest.mark.parametrize("args", [["--reps", "2", "--side", "1e200"],
                                       ["--n", "4", "--side", "1e160"]])
     def test_mesh_info_overflowing_side_exit_1(self, capsys, args):
-        assert main(["mesh-info", *args]) == 1
+        # stderr holds the error line alone, with no NumPy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mesh-info", *args]) == 1
         captured = capsys.readouterr()
-        assert "configuration error" in captured.err
+        message = ("triangle areas overflow: their sum is not finite"
+                   if "--reps" in args else
+                   "side length must be finite and positive with a finite "
+                   "square, got L=1e+160")
+        assert captured.err == f"configuration error: {message}\n"
         assert captured.out == ""
 
     def test_mesh_info_overflowing_area_file_exit_1(self, tmp_path, capsys):
         path = tmp_path / "big.mesh"
         path.write_text("vertices 3\n0 0\n1e200 0\n0 1e200\n"
                         "triangles 1\n0 1 2\n")
-        assert main(["mesh-info", "--mesh-file", str(path)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mesh-info", "--mesh-file", str(path)]) == 1
         captured = capsys.readouterr()
-        assert "configuration error" in captured.err
+        assert captured.err == ("configuration error: triangle areas "
+                                "overflow: their sum is not finite\n")
         assert captured.out == ""
 
     def test_mesh_info_requires_argument(self, capsys):
         assert main(["mesh-info"]) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--n", "4", "--reps", "2"], ["--n", "4", "--mesh-file", "m.mesh"],
+        ["--reps", "2", "--mesh-file", "m.mesh"]])
+    def test_mesh_info_conflicting_meshes_exit_1(self, tmp_path, capsys,
+                                                 monkeypatch, args):
+        save_mesh(build_structured_triangulation(2, 1.0), tmp_path / "m.mesh")
+        monkeypatch.chdir(tmp_path)
+        assert main(["mesh-info", *args]) == 1
+        captured = capsys.readouterr()
+        assert "only one of --n, --reps, --mesh-file" in captured.err
+        assert captured.out == ""
 
     def test_mesh_info_non_finite_vertex_exit_1(self, tmp_path, capsys):
         path = tmp_path / "nan.mesh"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,9 +101,11 @@ class TestStructuredTriangulation:
 
     @pytest.mark.parametrize("reps,L", [(2, 1e200), (1000, 1e155)])
     def test_overflowing_area_rejected(self, reps, L):
-        # a triangle area, or only their sum, overflows
-        with pytest.raises(MeshError, match="not finite"):
-            build_structured_triangulation(reps, L)
+        # a triangle area, or only their sum, overflows; NumPy stays quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="not finite"):
+                build_structured_triangulation(reps, L)
 
     @pytest.mark.parametrize("reps", [1, 2, 4, 7])
     def test_matches_loop_builder(self, reps):
@@ -131,11 +135,28 @@ class TestValidateMesh:
             validate_mesh(unit_square_two_triangles(), area=2.0)
 
     def test_non_finite_area_rejected(self):
-        # finite vertices whose cross product overflows
+        # finite vertices whose cross product overflows; NumPy stays quiet
         vertices = np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]])
-        with pytest.raises(MeshError, match="not finite"):
-            validate_mesh(TriangularMesh(vertices=vertices,
-                                         triangles=np.array([[0, 1, 2]])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="not finite"):
+                validate_mesh(TriangularMesh(vertices=vertices,
+                                             triangles=np.array([[0, 1, 2]])))
+
+    @pytest.mark.parametrize("vertices, triangles", [
+        # both products overflow, and their difference is inf - inf
+        ([[0.0, 0.0], [1e200, 1e200], [1e200, 2e200]], [[0, 1, 2]]),
+        # every area is finite, only their sum overflows
+        (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                   [0.5, 0.5]]) * 1.5e154,
+         [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])])
+    def test_overflow_raises_without_warning(self, vertices, triangles):
+        mesh = TriangularMesh(vertices=np.asarray(vertices),
+                              triangles=np.array(triangles))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="not finite"):
+                validate_mesh(mesh)
 
     def test_edge_shared_by_three_triangles(self):
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0]])
