@@ -63,7 +63,8 @@ def write_csv(path, fieldnames, rows):
 
 ERROR_COLUMNS = ("scheme", "variant", "mesh", "dt", "l1", "l2", "ratio_l1")
 DIAG_COLUMNS = ("step", "t", "mass_residual", "pressure_mean",
-                "picard_iters", "cmin", "cmax")
+                "picard_iters", "picard_residual", "backtracks",
+                "factorizations", "cmin", "cmax")
 
 
 def write_error_rows(path, rows):

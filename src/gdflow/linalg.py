@@ -7,8 +7,11 @@ of right-hand sides.  Given m, it solves the zero-mean elliptic system
 (A + m m^T) x = b, where A annihilates constants: the last dof is pinned,
 A x0 = b - s m is solved with s = sum(b) / sum(m), and a constant shift
 gives m^T x = s, which holds for every exact solution.
-``FactorizationCache`` keeps the transport factorisation while the
-assembled matrix stays the same.
+``FactorizationCache`` solves the transport systems of a run with few
+factorisations: a matrix that differs from the last factored one A0 in at
+most MAX_UPDATE_RANK columns is solved by a Sherman-Morrison-Woodbury
+update of the LU of A0, and only a larger change is factored.  The update
+columns take at most MAX_UPDATE_RANK * n doubles.
 """
 
 import numpy as np
@@ -20,6 +23,8 @@ RESIDUAL_TOL = 1e-10
 # |A 1| relative to the row sums of |A| below which a row counts as
 # annihilating constants
 ZERO_ROW_SUM_TOL = 1e-10
+# changed columns a FactorizationCache solves as an update of its last LU
+MAX_UPDATE_RANK = 32
 
 
 class SolverError(RuntimeError):
@@ -51,6 +56,24 @@ def _lu(A):
         raise SolverError(f"sparse LU factorisation failed: {exc}") from exc
 
 
+def _finite_rhs(b):
+    """b as a float array and its norm; rejects a non-finite b."""
+    b = np.asarray(b, dtype=float)
+    bnorm = float(np.linalg.norm(b))
+    if not np.isfinite(bnorm):
+        raise SolverError("right-hand side has non-finite entries")
+    return b, bnorm
+
+
+def _checked(A, x, b, bnorm, rank_one=None):
+    """x, unless ||(A + m m^T) x - b|| > RESIDUAL_TOL * ||b||."""
+    res = residual_norm(A, x, b, rank_one=rank_one)
+    if not res <= RESIDUAL_TOL * bnorm:
+        raise SolverError(f"LU solve residual {res:.3e} > "
+                          f"{RESIDUAL_TOL * bnorm:.3e}", residual=res)
+    return x
+
+
 def spd_solver(A, rank_one=None):
     """Factor A once; return ``solve(b)`` for (A + m m^T) x = b.
 
@@ -79,18 +102,10 @@ def spd_solver(A, rank_one=None):
             return x + (s - m @ x) / msum
 
     def solve(b):
-        b = np.asarray(b, dtype=float)
-        bnorm = np.linalg.norm(b)
-        if not np.isfinite(bnorm):
-            raise SolverError("right-hand side has non-finite entries")
+        b, bnorm = _finite_rhs(b)
         if bnorm == 0.0:
             return np.zeros(n)
-        x = direct(b)
-        res = residual_norm(A, x, b, rank_one=rank_one)
-        if not res <= RESIDUAL_TOL * bnorm:
-            raise SolverError(f"LU solve residual {res:.3e} > "
-                              f"{RESIDUAL_TOL * bnorm:.3e}", residual=res)
-        return x
+        return _checked(A, direct(b), b, bnorm, rank_one)
     return solve
 
 
@@ -106,27 +121,85 @@ def solve_general(A, b):
 
 
 class FactorizationCache:
-    """Reuses the ``spd_solver`` of the last factored matrix while each new
-    matrix equals it exactly (shape, ``indptr``, ``indices`` and ``data``).
-    The cache compares against its own copy, so a caller may change a
-    matrix in place.  The transport matrix changes with the velocity, dt
-    and the clamp set of the Picard iterate, so even constant-viscosity
-    runs refactorise whenever a dof enters or leaves [0, 1]."""
+    """Solves the transport systems of a run with few LU factorisations.
+
+    Keeps a reference matrix A0, as its own copy so that a caller may change
+    a matrix in place, and its LU.  A new A of the same shape, whose
+    D = A - A0 changes the columns S, is solved
+    - with the LU of A0 when S is empty;
+    - as x = y - Z_S (I + Z_S[S, :])^-1 y[S], y = A0^-1 b, Z_j = A0^-1 D_j
+      (Sherman-Morrison-Woodbury) when |S| <= MAX_UPDATE_RANK.  Each Z_j
+      is kept while D_j stays exactly equal, until A0 is replaced, in at
+      most MAX_UPDATE_RANK * n doubles;
+    - otherwise, or when the kept Z_j would exceed MAX_UPDATE_RANK, by
+      factoring A, which becomes A0.
+    Every solve rejects a non-finite b and checks the residual against A.
+    An update that misses RESIDUAL_TOL, or whose capacitance matrix is
+    singular, is redone by factoring A; SolverError follows if that misses
+    too.
+    """
 
     def __init__(self):
-        self._A = None
-        self._solve = None
+        self._drop()
         self.factorizations = 0
+
+    def _drop(self):
+        self._A = self._lu = self._Z = None
+        self._cols = {}  # column j -> (row of Z_j in _Z, bytes of D_j)
+
+    def _factor(self, A):
+        self._drop()  # free the old LU before SuperLU allocates the new one
+        self._lu = _lu(A)
+        self._A = A.copy()
+        self._Z = np.zeros((MAX_UPDATE_RANK, A.shape[0]))
+        self.factorizations += 1
+
+    def _update(self, A):
+        """The columns S in which A differs from A0 and the rows of their
+        Z_j in ``_Z``, computing the Z_j not yet kept; None when A must be
+        factored instead."""
+        if self._A is None or A.shape != self._A.shape:
+            return None
+        D = A - self._A
+        D.eliminate_zeros()
+        S = np.flatnonzero(np.bincount(D.indices, minlength=A.shape[1]))
+        if len(S) > MAX_UPDATE_RANK or not np.all(np.isfinite(D.data)):
+            return None
+        if len(self._cols) + sum(j not in self._cols for j in S) \
+                > MAX_UPDATE_RANK:
+            return None
+        D = D.tocsc()
+        rows = np.empty(len(S), dtype=int)
+        for k, j in enumerate(S):
+            part = slice(D.indptr[j], D.indptr[j + 1])
+            key = (D.indices[part].tobytes(), D.data[part].tobytes())
+            row, kept = self._cols.get(j, (len(self._cols), None))
+            if kept != key:
+                d = np.zeros(A.shape[0])
+                d[D.indices[part]] = D.data[part]
+                self._Z[row] = self._lu.solve(d)
+                self._cols[j] = (row, key)
+            rows[k] = row
+        return S, rows
+
+    def _solve_update(self, b, S, rows):
+        y = self._lu.solve(b)
+        v = np.zeros(len(self._cols))
+        v[rows] = np.linalg.solve(
+            np.eye(len(S)) + self._Z[np.ix_(rows, S)].T, y[S])
+        return y - self._Z[:len(v)].T @ v
 
     def solve(self, A, b):
         A = _as_csr(A)
-        last = self._A
-        if (last is None or A.shape != last.shape
-                or not np.array_equal(A.indptr, last.indptr)
-                or not np.array_equal(A.indices, last.indices)
-                or not np.array_equal(A.data, last.data)):
-            A = A.copy()
-            self._solve = spd_solver(A)
-            self._A = A
-            self.factorizations += 1
-        return self._solve(b)
+        b, bnorm = _finite_rhs(b)
+        update = self._update(A)
+        if update is None:
+            self._factor(A)
+        if bnorm == 0.0:
+            return np.zeros(A.shape[0])
+        if update is not None and len(update[0]):
+            try:
+                return _checked(A, self._solve_update(b, *update), b, bnorm)
+            except (SolverError, np.linalg.LinAlgError):
+                self._factor(A)
+        return _checked(A, self._lu.solve(b), b, bnorm)

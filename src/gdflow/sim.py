@@ -226,6 +226,7 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
             else:
                 p, U, p_info = cached_pressure
             c_prev = c
+            factored = transport_cache.factorizations
             c, t_info = assembly.transport_step(
                 gd, U, c_prev, config.dt, problem.dsrc, problem.params,
                 config.variant, dirichlet=problem.dirichlet_at(t_next),
@@ -243,6 +244,7 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
             "picard_residual": t_info["picard_residual"],
             "picard_relative": t_info["picard_relative"],
             "backtracks": t_info["backtracks"],
+            "factorizations": transport_cache.factorizations - factored,
             "cmin": float(c.min()),
             "cmax": float(c.max()),
             "mass_residual": (assembly.mass_balance_residual(

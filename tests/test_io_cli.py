@@ -316,7 +316,9 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 0
         out = tmp_path / "out"
         assert (out / "errors.csv").exists()
-        assert (out / "diagnostics.csv").exists()
+        assert (out / "diagnostics.csv").read_text().splitlines()[0] == (
+            "step,t,mass_residual,pressure_mean,picard_iters,"
+            "picard_residual,backtracks,factorizations,cmin,cmax")
         assert (out / "fields_8.vtk").exists()
         validate_vtk(out / "fields_8.vtk")
         assert "L1=" in capsys.readouterr().out

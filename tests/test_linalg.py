@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gdflow import linalg
 from gdflow.linalg import (
+    MAX_UPDATE_RANK,
+    RESIDUAL_TOL,
     FactorizationCache,
     SolverError,
     residual_norm,
@@ -139,7 +144,9 @@ class TestFactorizationCache:
             assert np.allclose(x, np.linalg.solve(dense, b))
         assert cache.factorizations == 1
 
-    def test_refactorizes_on_change(self):
+    def test_small_change_is_an_update(self):
+        # 4 changed columns <= MAX_UPDATE_RANK: A2 is an update of the LU
+        # of A1, and A1 again differs from the reference in no column
         cache = FactorizationCache()
         A1 = sp.csr_matrix(2.0 * np.eye(4))
         A2 = sp.csr_matrix(3.0 * np.eye(4))
@@ -147,7 +154,17 @@ class TestFactorizationCache:
         assert np.allclose(cache.solve(A1, b), 0.5)
         assert np.allclose(cache.solve(A2, b), 1.0 / 3.0)
         assert np.allclose(cache.solve(A1, b), 0.5)
-        assert cache.factorizations == 3
+        assert cache.factorizations == 1
+
+    def test_refactorizes_beyond_max_update_rank(self):
+        n = MAX_UPDATE_RANK + 8
+        cache = FactorizationCache()
+        b = np.ones(n)
+        assert np.allclose(cache.solve(sp.csr_matrix(2.0 * np.eye(n)), b),
+                           0.5)
+        assert np.allclose(cache.solve(sp.csr_matrix(3.0 * np.eye(n)), b),
+                           1.0 / 3.0)
+        assert cache.factorizations == 2
 
     def test_equal_new_matrix_reuses_factorization(self):
         cache = FactorizationCache()
@@ -156,14 +173,14 @@ class TestFactorizationCache:
         assert np.allclose(cache.solve(sp.csr_matrix(2.0 * np.eye(4)), b), 0.5)
         assert cache.factorizations == 1
 
-    def test_in_place_change_refactorizes(self):
+    def test_in_place_change_is_an_update(self):
         cache = FactorizationCache()
         A = sp.csr_matrix(2.0 * np.eye(4))
         b = np.ones(4)
         assert np.allclose(cache.solve(A, b), 0.5)
         A.data[0] = 4.0
         assert np.allclose(cache.solve(A, b), [0.25, 0.5, 0.5, 0.5])
-        assert cache.factorizations == 2
+        assert cache.factorizations == 1
 
     def test_non_finite_rhs_raises(self):
         A = sp.diags([2.0, 4.0, 8.0]).tocsr()
@@ -181,6 +198,134 @@ class TestFactorizationCache:
         with pytest.raises(SolverError, match="singular"):
             cache.solve(A, np.array([1.0, 0.0]))
         assert cache.factorizations == 0
+
+
+def dominant(n, seed):
+    """A random sparse matrix whose diagonal dominates every row and column,
+    also after ``change_columns``."""
+    rng = np.random.default_rng(seed)
+    R = sp.random(n, n, density=0.1, random_state=rng,
+                  data_rvs=lambda k: rng.uniform(-1.0, 1.0, k))
+    return (R + sp.identity(n) * (2.0 * n + 1.0)).tocsr()
+
+
+def change_columns(A, cols, seed):
+    """A with a random change in every column of ``cols``."""
+    rng = np.random.default_rng(seed)
+    dense = A.toarray()
+    for j in cols:
+        rows = rng.choice(A.shape[0], size=3, replace=False)
+        dense[rows, j] += rng.uniform(-1.0, 1.0, 3)
+        dense[j, j] += 1.0
+    return sp.csr_matrix(dense)
+
+
+class CountingLU:
+    """Counts the solves of a SuperLU factorisation."""
+
+    def __init__(self, lu, log):
+        self._lu, self._log = lu, log
+
+    def solve(self, b):
+        self._log.append(b.shape)
+        return self._lu.solve(b)
+
+
+class TestFactorizationCacheUpdate:
+    def test_update_matches_dense_solve(self):
+        A0 = dominant(50, seed=1)
+        A1 = change_columns(A0, [3, 17, 40], seed=2)
+        b = np.random.default_rng(3).standard_normal(50)
+        cache = FactorizationCache()
+        cache.solve(A0, b)
+        x = cache.solve(A1, b)
+        assert np.allclose(x, np.linalg.solve(A1.toarray(), b),
+                           rtol=0.0, atol=1e-12)
+        assert cache.factorizations == 1
+
+    def test_changed_columns_are_solved_once(self, monkeypatch):
+        solves = []
+        real = linalg._lu
+        monkeypatch.setattr(linalg, "_lu",
+                            lambda A: CountingLU(real(A), solves))
+        A0 = dominant(30, seed=4)
+        cols = [2, 9, 21, 29]
+        A1 = change_columns(A0, cols, seed=5)
+        b = np.random.default_rng(6).standard_normal(30)
+        cache = FactorizationCache()
+        for A in (A0, A1, A0, A1):
+            x = cache.solve(A, b)
+            assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=0.0,
+                               atol=1e-12)
+        # one solve per right-hand side, and one per changed column of A1
+        assert len(solves) == 4 + len(cols)
+        assert cache.factorizations == 1
+
+    @pytest.mark.parametrize("A1", [
+        sp.csr_matrix(np.diag([0.0, 2.0, 2.0, 2.0])),
+        sp.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                                [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 2.0]])),
+    ], ids=["zero_column", "equal_columns"])
+    def test_singular_update_raises_solver_error(self, A1):
+        cache = FactorizationCache()
+        cache.solve(sp.csr_matrix(2.0 * np.eye(4)), np.ones(4))
+        with pytest.raises(SolverError, match="singular"):
+            cache.solve(A1, np.array([1.0, 0.0, 1.0, 1.0]))
+
+    def test_inf_in_changed_column_raises_solver_error(self):
+        A0 = dominant(20, seed=7)
+        A1 = A0.tolil()
+        A1[4, 11] = np.inf
+        cache = FactorizationCache()
+        cache.solve(A0, np.ones(20))
+        with pytest.raises(SolverError):
+            cache.solve(A1.tocsr(), np.ones(20))
+
+    @pytest.mark.parametrize("capacitance", ["wrong", "singular"])
+    def test_residual_miss_refactors(self, monkeypatch, capacitance):
+        A0 = dominant(40, seed=8)
+        A1 = change_columns(A0, [0, 5, 39], seed=9)
+        b = np.random.default_rng(10).standard_normal(40)
+        oracle = np.linalg.solve(A1.toarray(), b)
+        real, calls = np.linalg.solve, []
+
+        def bad(K, r):
+            calls.append(K.shape)
+            if capacitance == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return 2.0 * real(K, r)
+        cache = FactorizationCache()
+        cache.solve(A0, b)
+        monkeypatch.setattr(linalg.np.linalg, "solve", bad)
+        x = cache.solve(A1, b)
+        assert np.allclose(x, oracle, rtol=0.0, atol=1e-12)
+        assert residual_norm(A1, x, b) <= RESIDUAL_TOL * np.linalg.norm(b)
+        assert calls == [(3, 3)]
+        assert cache.factorizations == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k1=st.integers(0, 40),
+           k2=st.integers(0, 40))
+    def test_update_rule(self, seed, k1, k2):
+        # two successive matrices change k1 and k2 random columns of A0
+        n = 60
+        rng = np.random.default_rng(seed)
+        A0 = dominant(n, seed)
+        mats = [change_columns(A0, rng.choice(n, size=k, replace=False),
+                               seed + i) for i, k in enumerate((k1, k2))]
+        ref, kept, expected = A0.toarray(), set(), 1
+        cache = FactorizationCache()
+        for A in [A0] + mats:
+            b = rng.standard_normal(n)
+            x = cache.solve(A, b)
+            assert residual_norm(A, x, b) <= RESIDUAL_TOL * np.linalg.norm(b)
+            dense = A.toarray()
+            S = set(np.flatnonzero((dense != ref).any(axis=0)))
+            if len(S) > MAX_UPDATE_RANK or len(kept | S) > MAX_UPDATE_RANK:
+                ref, kept, expected = dense, set(), expected + 1
+            else:
+                kept |= S
+            assert cache.factorizations == expected
 
 
 class TestResidualNorm:

@@ -138,14 +138,50 @@ class TestRunCoupled:
         # M = 1 fixes the transport operator: with one dt per run, a step
         # that starts on the previous step's clamp set reuses its LU
         calls = []
-        real = linalg.spd_solver
+        real = linalg._lu
 
-        def counting(A, rank_one=None):
+        def counting(A):
             calls.append(A.shape)
-            return real(A, rank_one)
-        monkeypatch.setattr(linalg, "spd_solver", counting)
-        run_coupled(self.TABLE1_COARSE)
+            return real(A)
+        monkeypatch.setattr(linalg, "_lu", counting)
+        _, report = run_coupled(self.TABLE1_COARSE)
         assert len(calls) <= 23
+        # the pressure LU, then the transport ones counted per step
+        assert len(calls) == 1 + sum(row["factorizations"]
+                                     for row in report.diagnostics)
+
+
+CACHE = linalg.FactorizationCache
+
+
+class FreshCache(CACHE):
+    """Factors every matrix anew: the reference for the LU updates."""
+
+    def solve(self, A, b):
+        fresh = CACHE()
+        x = fresh.solve(A, b)
+        self.factorizations += fresh.factorizations
+        return x
+
+
+class TestLuUpdateTrajectory:
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(test="analytic1", scheme="b", reps=16, dt=0.02),
+        RunConfig(test="lit2", scheme="b", reps=8, dt=36.0),
+    ], ids=["analytic1_dirichlet", "lit2_neumann"])
+    def test_same_newton_iterates_fewer_factorizations(self, cfg,
+                                                       monkeypatch):
+        state, report = run_coupled(cfg)
+        monkeypatch.setattr(linalg, "FactorizationCache", FreshCache)
+        ref_state, ref_report = run_coupled(cfg)
+        for key in ("picard_iters", "backtracks"):
+            assert [row[key] for row in report.diagnostics] == \
+                [row[key] for row in ref_report.diagnostics]
+        assert np.linalg.norm(state.c - ref_state.c) \
+            <= 1e-10 * np.linalg.norm(ref_state.c)
+        factorizations = [sum(row["factorizations"] for row in r.diagnostics)
+                          for r in (report, ref_report)]
+        assert factorizations[0] < factorizations[1], factorizations
 
 
 class TestPicardIteration:
