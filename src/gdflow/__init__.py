@@ -8,19 +8,19 @@ reproduce mesh-convergence error tables against an analytical radial
 solution.
 """
 
-from .mesh import CartesianGrid, TriangularMesh, DualMesh, build_cartesian, \
-    build_structured_triangulation, build_dual, load_mesh, save_mesh
+from .mesh import CartesianGrid, TriangularMesh, build_cartesian, \
+    build_structured_triangulation, build_dual, load_mesh
 from .gd import GradientDiscretisation, scheme_a, scheme_b
-from .physics import ViscosityModel, MobilityTensor, DispersionParams, \
+from .physics import MobilityTensor, DispersionParams, \
     AnalyticalRadialSolution, viscosity, truncate, psi
 from .sim import RunConfig, ErrorReport, run_coupled, error_norms, \
     convergence_suite
 
 __all__ = [
-    "CartesianGrid", "TriangularMesh", "DualMesh", "build_cartesian",
-    "build_structured_triangulation", "build_dual", "load_mesh", "save_mesh",
+    "CartesianGrid", "TriangularMesh", "build_cartesian",
+    "build_structured_triangulation", "build_dual", "load_mesh",
     "GradientDiscretisation", "scheme_a", "scheme_b",
-    "ViscosityModel", "MobilityTensor", "DispersionParams",
+    "MobilityTensor", "DispersionParams",
     "AnalyticalRadialSolution", "viscosity", "truncate", "psi",
     "RunConfig", "ErrorReport", "run_coupled", "error_norms",
     "convergence_suite",

@@ -99,24 +99,11 @@ def discretize_sources(gd, side, rate):
                            production_in_transport=False)
 
 
-def _grad_bilinear(gd, a11, a22, a12):
-    """Sparse matrix of the form sum_g |g| (A_g grad phi_j) . grad phi_i for
-    a per-gradient-cell symmetric tensor field (a11, a22, a12)."""
-    mg = gd.grad_measures
-    gx, gy = gd.grad_x, gd.grad_y
-    K = (gx.T @ sp.diags(mg * a11) @ gx
-         + gy.T @ sp.diags(mg * a22) @ gy)
-    if a12 is not None and np.any(a12):
-        K = K + gx.T @ sp.diags(mg * a12) @ gy \
-              + gy.T @ sp.diags(mg * a12) @ gx
-    return K.tocsr()
-
-
 def pressure_matrix(gd, c_prev, mobility):
     """Stiffness of the mobility-weighted bilinear form, using the exact
     piecewise-constant quadrature of A(Pi c) on every gradient cell."""
     a = gd.overlap @ mobility.scalar(c_prev)
-    return _grad_bilinear(gd, a, a, None), a
+    return gd.grad_gram(a, a), a
 
 
 def solve_pressure(gd, c_prev, mobility, dsrc):
@@ -149,7 +136,7 @@ def diffusion_matrix(gd, U, params, variant):
         raise ConfigError(f"unknown convection variant {variant!r}")
     h = gd.h if variant == "dh" else None
     D11, D22, D12 = tensor_D_field(params, U, h=h)
-    return _grad_bilinear(gd, D11, D22, D12)
+    return gd.grad_gram(D11, D22, D12)
 
 
 def artificial_diffusion(C):
@@ -178,8 +165,12 @@ def convection_matrix(gd, U, variant):
 
 
 def eliminate_dirichlet(A, free_idx):
-    """The free block A[free, free] left by eliminating the Dirichlet dofs."""
-    return A.tocsc()[:, free_idx][free_idx].tocsr()
+    """The free block A[free, free] left by eliminating the Dirichlet dofs,
+    with sorted column indices."""
+    block = A[free_idx][:, free_idx]
+    block.has_sorted_indices = False  # A may come with unsorted rows
+    block.sort_indices()
+    return block
 
 
 def transport_step(gd, U, c_prev, dt, dsrc, params, variant,

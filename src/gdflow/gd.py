@@ -46,7 +46,7 @@ class GradientDiscretisation:
     domain_area: float
     recon_quad: Quadrature = field(repr=False)
     grad_quad: Quadrature = field(repr=False)
-    geometry: object = field(repr=False, default=None)
+    geometry: object = field(repr=False, default=None)  # grid or mesh
 
     @property
     def n_grad_cells(self):
@@ -71,11 +71,17 @@ class GradientDiscretisation:
         """
         return np.asarray(f(self.anchors), dtype=float)
 
-    # Gram matrix of the gradients, shared by the quality indicators.
-    def grad_gram(self):
-        mg = sp.diags(self.grad_measures)
-        return (self.grad_x.T @ mg @ self.grad_x
-                + self.grad_y.T @ mg @ self.grad_y).tocsr()
+    def grad_gram(self, a11=1.0, a22=1.0, a12=None):
+        """Stiffness sum_g |g| (A_g grad phi_j) . grad phi_i of the symmetric
+        tensor field A = [[a11, a12], [a12, a22]], constant or one value per
+        gradient cell; the defaults give the Gram matrix of the gradients."""
+        mg = self.grad_measures
+        gx, gy = self.grad_x, self.grad_y
+        K = gx.T @ sp.diags(mg * a11) @ gx + gy.T @ sp.diags(mg * a22) @ gy
+        if a12 is not None and np.any(a12):
+            m12 = sp.diags(mg * a12)
+            K = K + gx.T @ m12 @ gy + gy.T @ m12 @ gx
+        return K.tocsr()
 
 
 def _gauss4(x0, x1, y0, y1, cells):
@@ -106,36 +112,30 @@ def scheme_a(grid):
     ii, jj = np.meshgrid(np.arange(N), np.arange(N), indexing="xy")
     ii, jj = ii.ravel(), jj.ravel()  # primal squares
 
-    rows, gx_cols, gx_vals, gy_cols, gy_vals = [], [], [], [], []
-    owner_cols = []
-    qx0, qx1, qy0, qy1 = [], [], [], []
+    rows, gx_cols, gy_cols, owner_cols, qx0, qy0 = [], [], [], [], [], []
     row0 = 0
     nsq = N * N
     for da in (0, 1):      # corner offset in x
         for db in (0, 1):  # corner offset in y
             a = ii + da
             b = jj + db
-            r = np.arange(row0, row0 + nsq)
-            rows.append(np.repeat(r, 2))
+            rows.append(np.repeat(np.arange(row0, row0 + nsq), 2))
             # x-difference along the horizontal edge at the corner's height
             gx_cols.append(np.column_stack([(ii + 1) + b * stride,
                                             ii + b * stride]).ravel())
-            gx_vals.append(np.tile([1.0 / h, -1.0 / h], nsq))
             # y-difference along the vertical edge at the corner's abscissa
             gy_cols.append(np.column_stack([a + (jj + 1) * stride,
                                             a + jj * stride]).ravel())
-            gy_vals.append(np.tile([1.0 / h, -1.0 / h], nsq))
             owner_cols.append(a + b * stride)
             qx0.append(ii * h + da * h / 2.0)
             qy0.append(jj * h + db * h / 2.0)
             row0 += nsq
     ngrad = 4 * nsq
     rows = np.concatenate(rows)
-    grad_x = sp.csr_matrix((np.concatenate(gx_vals),
-                            (rows, np.concatenate(gx_cols))),
+    vals = np.tile([1.0 / h, -1.0 / h], ngrad)  # both difference quotients
+    grad_x = sp.csr_matrix((vals, (rows, np.concatenate(gx_cols))),
                            shape=(ngrad, ndof))
-    grad_y = sp.csr_matrix((np.concatenate(gy_vals),
-                            (rows, np.concatenate(gy_cols))),
+    grad_y = sp.csr_matrix((vals, (rows, np.concatenate(gy_cols))),
                            shape=(ngrad, ndof))
     overlap = sp.csr_matrix((np.ones(ngrad),
                              (np.arange(ngrad), np.concatenate(owner_cols))),
@@ -147,14 +147,8 @@ def scheme_a(grid):
     grad_quad = _gauss4(qx0, qx0 + h / 2.0, qy0, qy0 + h / 2.0,
                         np.arange(ngrad))
 
-    # recon boxes (cut at the boundary)
-    coords = np.arange(N + 1) * h
-    lo = np.maximum(coords - h / 2.0, 0.0)
-    hi = np.minimum(coords + h / 2.0, grid.L)
-    bx0, by0 = np.meshgrid(lo, lo, indexing="xy")
-    bx1, by1 = np.meshgrid(hi, hi, indexing="xy")
-    recon_quad = _gauss4(bx0.ravel(), bx1.ravel(), by0.ravel(), by1.ravel(),
-                         np.arange(ndof))
+    bx0, by0, bx1, by1 = grid.boxes()
+    recon_quad = _gauss4(bx0, bx1, by0, by1, np.arange(ndof))
 
     return GradientDiscretisation(
         kind="a", ndof=ndof, anchors=grid.nodes,
@@ -164,9 +158,9 @@ def scheme_a(grid):
         recon_quad=recon_quad, grad_quad=grad_quad, geometry=grid)
 
 
-def scheme_b(mesh, dual):
-    """Mass-lumped P1 discretisation: vertex dofs, dual-cell reconstruction,
-    constant P1 gradients per triangle."""
+def scheme_b(mesh, measures):
+    """Mass-lumped P1 discretisation: vertex dofs, dual cells of the given
+    ``measures`` (see ``build_dual``), constant P1 gradients per triangle."""
     ndof = mesh.n_vertices
     tri = mesh.triangles
     areas = mesh.areas()
@@ -202,7 +196,7 @@ def scheme_b(mesh, dual):
 
     return GradientDiscretisation(
         kind="b", ndof=ndof, anchors=mesh.vertices,
-        recon_measures=dual.measures, grad_measures=areas,
+        recon_measures=measures, grad_measures=areas,
         grad_x=grad_x, grad_y=grad_y, overlap=overlap,
         h=h, domain_area=float(areas.sum()),
-        recon_quad=recon_quad, grad_quad=grad_quad, geometry=(mesh, dual))
+        recon_quad=recon_quad, grad_quad=grad_quad, geometry=mesh)

@@ -11,7 +11,6 @@ import numpy as np
 from . import assembly, linalg, quality, sim
 from .mesh import build_cartesian, build_dual, \
     build_structured_triangulation, load_mesh
-from .gd import scheme_a, scheme_b
 from .sim import ConfigError, RunConfig
 
 # config-file key -> RunConfig field, where the two differ
@@ -80,12 +79,7 @@ def write_diagnostics(path, diagnostics):
 
 def _scheme_a_polygons(gd):
     """Reconstruction boxes, counter-clockwise from the lower-left corner."""
-    grid = gd.geometry
-    coords = np.arange(grid.N + 1) * grid.h
-    lo = np.maximum(coords - grid.h / 2.0, 0.0)
-    hi = np.minimum(coords + grid.h / 2.0, grid.L)
-    x0, y0 = (a.ravel() for a in np.meshgrid(lo, lo))
-    x1, y1 = (a.ravel() for a in np.meshgrid(hi, hi))
+    x0, y0, x1, y1 = gd.geometry.boxes()
     points = np.stack([x0, y0, x1, y0, x1, y1, x0, y1], axis=1).reshape(-1, 2)
     return points, np.arange(len(points)).reshape(-1, 4)
 
@@ -93,7 +87,7 @@ def _scheme_a_polygons(gd):
 def _scheme_b_polygons(gd):
     """Dual cells: the edge midpoints and centroids of the incident triangles
     (and the vertex itself on the boundary), by angle about their mean."""
-    mesh, _ = gd.geometry
+    mesh = gd.geometry
     nv = mesh.n_vertices
     p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
     centroid = np.broadcast_to(p.mean(axis=1)[:, None], p.shape)
@@ -287,16 +281,10 @@ def _cmd_quality(args):
         raise ConfigError(f"quality needs --levels >= 1, got {args.levels}")
     rows = []
     for lvl in range(args.levels):
-        if args.scheme == "a":
-            n = args.base * 2 ** lvl
-            gd = scheme_a(build_cartesian(n, 1.0))
-            mesh_label = f"{n}x{n}"
-        else:
-            reps = args.base * 2 ** lvl
-            mesh = build_structured_triangulation(reps, 1.0)
-            gd = scheme_b(mesh, build_dual(mesh))
-            mesh_label = f"tri{reps}"
-        rep = quality.quality_report(gd)
+        size = args.base * 2 ** lvl
+        rep = quality.quality_report(
+            sim.build_discretisation(args.scheme, size, 1.0))
+        mesh_label = f"{size}x{size}" if args.scheme == "a" else f"tri{size}"
         rows.append({"mesh": mesh_label, "h": rep.h, "ndof": rep.ndof,
                      "C_D": rep.coercivity,
                      "S_D": rep.consistency, "W_D": rep.limit_conformity})
@@ -323,14 +311,13 @@ def _cmd_mesh_info(args):
         return 0
     else:
         raise ConfigError("mesh-info needs one of --n, --reps, --mesh-file")
-    dual = build_dual(mesh)
     areas = mesh.areas()
     print(f"triangulation: {mesh.n_vertices} vertices, "
           f"{mesh.n_triangles} triangles, "
           f"{len(mesh.boundary_edges())} boundary edges, "
           f"area {areas.sum():g}, "
           f"h_min={np.sqrt(areas.min()):.4g}, "
-          f"dual measure total {dual.measures.sum():g}")
+          f"dual measure total {build_dual(mesh).sum():g}")
     return 0
 
 

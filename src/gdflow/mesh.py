@@ -47,6 +47,16 @@ class CartesianGrid:
     def n_squares(self):
         return self.N ** 2
 
+    def boxes(self):
+        """Reconstruction boxes as corner arrays (x0, y0, x1, y1), node by
+        node, x fastest."""
+        coords = np.arange(self.N + 1) * self.h
+        lo = np.maximum(coords - self.h / 2.0, 0.0)
+        hi = np.minimum(coords + self.h / 2.0, self.L)
+        x0, y0 = (a.ravel() for a in np.meshgrid(lo, lo))
+        x1, y1 = (a.ravel() for a in np.meshgrid(hi, hi))
+        return x0, y0, x1, y1
+
 
 def build_cartesian(N, L):
     """Build the node-centred Cartesian grid with N cells per side on (0, L)^2."""
@@ -89,14 +99,6 @@ class TriangularMesh:
         return edges[counts == 1]
 
 
-@dataclass(frozen=True)
-class DualMesh:
-    """Barycentric dual cells: each vertex receives a third of every incident
-    triangle's area."""
-
-    measures: np.ndarray = field(repr=False)  # (nv,)
-
-
 def _signed_areas(vertices, triangles):
     p0 = vertices[triangles[:, 0]]
     p1 = vertices[triangles[:, 1]]
@@ -135,9 +137,8 @@ def validate_mesh(mesh, area=None):
         k = int(np.argmax(counts > 2))
         raise MeshError(f"edge {tuple(edges[k].tolist())} shared by "
                         f"{counts[k]} triangles")
-    if area is not None:
-        if abs(total - area) > 1e-12 * area:
-            raise MeshError(f"triangle areas sum to {total!r}, expected {area!r}")
+    if area is not None and abs(total - area) > 1e-12 * area:
+        raise MeshError(f"triangle areas sum to {total!r}, expected {area!r}")
     return mesh
 
 
@@ -182,7 +183,7 @@ def build_dual(mesh):
               np.repeat(areas / 3.0, 3))
     if np.any(measures <= 0):
         raise MeshError("isolated vertex: zero dual measure")
-    return DualMesh(measures=measures)
+    return measures
 
 
 def load_mesh(path):
@@ -241,11 +242,3 @@ def load_mesh(path):
                              line=tokens[pos][0])
     return validate_mesh(TriangularMesh(vertices=vertices, triangles=triangles))
 
-
-def save_mesh(mesh, path):
-    """Write the plain-text format read by :func:`load_mesh`."""
-    with open(path, "w") as f:
-        f.write(f"vertices {mesh.n_vertices}\n")
-        np.savetxt(f, mesh.vertices, fmt="%.17g")
-        f.write(f"triangles {mesh.n_triangles}\n")
-        np.savetxt(f, mesh.triangles, fmt="%d")

@@ -3,7 +3,7 @@ and its mesh-dependent stabilised variant, and the analytical radial
 solution used by the convergence tables.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,39 +16,32 @@ def truncate(s):
     return np.clip(s, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ViscosityModel:
+def viscosity(M, c):
     """Quarter-power mixing rule between the resident fluid (c=0) and the
-    injected solvent (c=1); M is the mobility ratio mu(0)/mu(1), with the
-    resident viscosity mu(0) = 1 (its scale is the permeability k)."""
+    injected solvent (c=1) with mobility ratio M = mu(0)/mu(1):
+    mu(c) = (1 + (M^(1/4) - 1) c)^(-4), with c clamped to [0, 1]."""
+    c = truncate(c)
+    return (1.0 + (M ** 0.25 - 1.0) * c) ** (-4)
 
+
+@dataclass(frozen=True)
+class MobilityTensor:
+    """Isotropic mobility A(c) = (k / mu(c)) * I, with the resident
+    viscosity mu(0) = 1 (its scale is the permeability k) and M the
+    mobility ratio of ``viscosity``."""
+
+    k: float = 1.0
     M: float = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.M) and self.M >= 1):
             raise ValueError(f"mobility ratio must be finite, >= 1, got {self.M}")
-
-
-def viscosity(model, c):
-    """mu(c) = (1 + (M^(1/4) - 1) c)^(-4), with c clamped to [0, 1]."""
-    c = truncate(c)
-    return (1.0 + (model.M ** 0.25 - 1.0) * c) ** (-4)
-
-
-@dataclass(frozen=True)
-class MobilityTensor:
-    """Isotropic mobility A(c) = (k / mu(c)) * I."""
-
-    k: float = 1.0
-    viscosity_model: ViscosityModel = field(default_factory=ViscosityModel)
-
-    def __post_init__(self):
         if not (np.isfinite(self.k) and self.k > 0):
             raise ValueError(f"permeability must be finite, > 0, got {self.k}")
 
     def scalar(self, c):
         """The scalar k / mu(c) multiplying the identity."""
-        return self.k / viscosity(self.viscosity_model, c)
+        return self.k / viscosity(self.M, c)
 
 
 @dataclass(frozen=True)

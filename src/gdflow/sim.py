@@ -13,7 +13,7 @@ from .gd import scheme_a, scheme_b
 from .mesh import build_cartesian, build_dual, build_structured_triangulation, \
     load_mesh
 from .physics import AnalyticalRadialSolution, DispersionParams, \
-    MobilityTensor, ViscosityModel
+    MobilityTensor
 
 TESTS = ("analytic1", "analytic2", "lit1", "lit2")
 SCHEMES = ("a", "b")
@@ -124,13 +124,15 @@ class State:
     t: float
 
 
-def build_discretisation(config):
-    if config.scheme == "a":
-        return scheme_a(build_cartesian(config.n, config.side))
-    if config.mesh_file is not None:
-        mesh = load_mesh(config.mesh_file)
+def build_discretisation(scheme, size, side, mesh_file=None):
+    """Scheme a on the grid of ``size`` cells per side of (0, side)^2, or
+    scheme b on ``mesh_file`` or else on ``size`` pattern replications."""
+    if scheme == "a":
+        return scheme_a(build_cartesian(size, side))
+    if mesh_file is not None:
+        mesh = load_mesh(mesh_file)
     else:
-        mesh = build_structured_triangulation(config.reps, config.side)
+        mesh = build_structured_triangulation(size, side)
     return scheme_b(mesh, build_dual(mesh))
 
 
@@ -162,10 +164,10 @@ def _radial_dirichlet_dofs(gd):
 
 def build_problem(config):
     config = config.resolved()
-    gd = build_discretisation(config)
-    mobility = MobilityTensor(
-        k=config.perm,
-        viscosity_model=ViscosityModel(M=config.m_ratio))
+    size = config.n if config.scheme == "a" else config.reps
+    gd = build_discretisation(config.scheme, size, config.side,
+                              config.mesh_file)
+    mobility = MobilityTensor(k=config.perm, M=config.m_ratio)
     params = DispersionParams(phi=config.phi, dm=config.dm,
                               dl=config.dl, dt_=config.dt_disp)
     rate = _TEST_DEFAULTS[config.test]["rate"]
@@ -190,23 +192,17 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
     """Execute the coupled scheme and return (final State, ErrorReport).
 
     The pressure step uses the previous concentration (explicit coupling);
-    the transport step is implicit.  ``c0`` overrides the initial
-    concentration (callable on points or dof array); ``snapshot_cb`` is
-    called as (step, t, state) after selected steps.
+    the transport step is implicit.  ``c0``, a function of the points,
+    overrides the zero initial concentration; ``snapshot_cb`` is called as
+    (step, t, state) after selected steps.
     """
     config = config.resolved()
     if problem is None:
         problem = build_problem(config)
     gd = problem.gd
+    c = np.zeros(gd.ndof) if c0 is None else gd.interpolate(c0)
 
-    if c0 is None:
-        c = np.zeros(gd.ndof)
-    elif callable(c0):
-        c = gd.interpolate(c0)
-    else:
-        c = np.asarray(c0, dtype=float).copy()
-
-    constant_mobility = problem.mobility.viscosity_model.M == 1.0
+    constant_mobility = problem.mobility.M == 1.0
     cached_pressure = None
     transport_cache = linalg.FactorizationCache()
     diagnostics = []

@@ -5,7 +5,8 @@ computes with array operations: the single-velocity dispersion tensors, the
 partial-sum form of the radial profile, the ray-angle form of the lineic
 production, and the loop builders of the structured triangulation, the edge
 incidence counts, the VTK polygons, the Gauss points of rectangles and the
-P1 gradients and dual quadrature points.
+P1 gradients and dual quadrature points.  ``save_mesh`` writes the mesh
+files the tests read back.
 """
 
 import numpy as np
@@ -180,3 +181,12 @@ def loop_dual_subpoints(mesh):
         m2 = 0.5 * (p[:, k] + p[:, (k + 2) % 3])
         sub_pts[:, k] = (p[:, k] + m1 + m2 + centroid) / 4.0
     return sub_pts.reshape(-1, 2)
+
+
+def save_mesh(mesh, path):
+    """Write the plain-text format read by ``gdflow.mesh.load_mesh``."""
+    with open(path, "w") as f:
+        f.write(f"vertices {mesh.n_vertices}\n")
+        np.savetxt(f, mesh.vertices, fmt="%.17g")
+        f.write(f"triangles {mesh.n_triangles}\n")
+        np.savetxt(f, mesh.triangles, fmt="%d")

@@ -25,7 +25,7 @@ from gdflow.assembly import (
 )
 from gdflow.gd import scheme_a, scheme_b
 from gdflow.mesh import build_cartesian, build_dual, build_structured_triangulation
-from gdflow.physics import DispersionParams, MobilityTensor, ViscosityModel
+from gdflow.physics import DispersionParams, MobilityTensor
 
 
 def make_a(n=3, L=1.0):
@@ -43,7 +43,7 @@ def no_sources(gd):
 
 
 def unit_mobility():
-    return MobilityTensor(k=1.0, viscosity_model=ViscosityModel(M=1.0))
+    return MobilityTensor(k=1.0, M=1.0)
 
 
 class TestDiscreteSources:
@@ -88,7 +88,7 @@ class TestPressure:
         gd = make(4)
         dsrc = discretize_sources(gd, 1.0, 3.0)
         c = np.linspace(0.0, 1.0, gd.ndof)
-        mobility = MobilityTensor(k=1.0, viscosity_model=ViscosityModel(M=40.0))
+        mobility = MobilityTensor(k=1.0, M=40.0)
         p, U, info = solve_pressure(gd, c, mobility, dsrc)
         assert abs(info["pressure_mean"]) <= 1e-10 * max(info["rhs_norm"], 1.0)
         assert info["residual"] <= 1e-9 * info["rhs_norm"]
@@ -96,7 +96,7 @@ class TestPressure:
     def test_matrix_is_symmetric_with_zero_row_sums(self, make):
         gd = make(3)
         c = np.linspace(0.0, 1.0, gd.ndof)
-        mobility = MobilityTensor(k=2.0, viscosity_model=ViscosityModel(M=10.0))
+        mobility = MobilityTensor(k=2.0, M=10.0)
         G, a = pressure_matrix(gd, c, mobility)
         dense = G.toarray()
         assert np.allclose(dense, dense.T)
@@ -188,6 +188,21 @@ class TestDirichlet:
         A_ff = eliminate_dirichlet(sp.csr_matrix(dense), free)
         assert A_ff.format == "csr"
         assert np.array_equal(A_ff.toarray(), dense[np.ix_(free, free)])
+
+    def test_unsorted_input_matches_csc_slicing(self):
+        A = sp.random(30, 30, density=0.2, random_state=7, format="csr") \
+            + sp.eye(30, format="csr")
+        for i in range(A.shape[0]):  # each row's entries in reverse order
+            row = slice(A.indptr[i], A.indptr[i + 1])
+            A.indices[row] = A.indices[row][::-1]
+            A.data[row] = A.data[row][::-1]
+        A = sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+        assert not A.has_sorted_indices
+        free = np.flatnonzero(np.arange(30) % 4 != 1)
+        ref = A.tocsc()[:, free][free].tocsr()
+        A_ff = eliminate_dirichlet(A, free)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A_ff, part), getattr(ref, part))
 
 
 class TestTransportStep:
@@ -383,8 +398,7 @@ class TestPressureProperties:
         gd = small_gd(*geometry)
         dsrc = discretize_sources(gd, 1.0, rate)
         c_prev = np.random.default_rng(seed).random(gd.ndof)
-        mobility = MobilityTensor(k=1.0,
-                                  viscosity_model=ViscosityModel(M=m_ratio))
+        mobility = MobilityTensor(k=1.0, M=m_ratio)
         _, _, info = solve_pressure(gd, c_prev, mobility, dsrc)
         assert abs(info["pressure_mean"]) <= 1e-8 * info["rhs_norm"]
         assert info["residual"] <= 1e-9 * info["rhs_norm"]

@@ -131,6 +131,20 @@ class TestNorms:
             assert np.isclose(gd.norm_ell(w), ell, rtol=1e-12)
         assert np.allclose(gd.grad_gram().toarray(), K)
 
+    def test_weighted_gram_dense_oracle(self, gd):
+        rng = np.random.default_rng(3)
+        a11, a22, a12 = rng.random((3, gd.n_grad_cells))
+        Gx = gd.grad_x.toarray()
+        Gy = gd.grad_y.toarray()
+        K = np.zeros((gd.ndof, gd.ndof))
+        for g, mg in enumerate(gd.grad_measures):
+            B = np.stack([Gx[g], Gy[g]])  # the cell's gradient rows
+            A = np.array([[a11[g], a12[g]], [a12[g], a22[g]]])
+            K += mg * B.T @ A @ B
+        assert np.allclose(gd.grad_gram(a11, a22, a12).toarray(), K)
+        assert np.array_equal(gd.grad_gram(1.0, 1.0, 0.0).toarray(),
+                              gd.grad_gram().toarray())
+
 
 @pytest.mark.parametrize("make", [make_a, make_b], ids=["a", "b"])
 class TestInterpolation:

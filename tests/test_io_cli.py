@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gdflow.gd import scheme_a, scheme_b
-from gdflow import assembly, io_cli, linalg, quality
+from gdflow import assembly, io_cli, linalg, quality, sim
 from gdflow.io_cli import (
     main,
     parse_config,
@@ -19,11 +19,11 @@ from gdflow.mesh import (
     build_dual,
     build_structured_triangulation,
     load_mesh,
-    save_mesh,
 )
 from gdflow.sim import ConfigError, RunConfig
 
-from oracles import loop_scheme_a_polygons, loop_scheme_b_polygons
+from oracles import loop_scheme_a_polygons, loop_scheme_b_polygons, \
+    save_mesh
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -157,6 +157,30 @@ class TestVtk:
         text = path.read_text().splitlines()
         path.write_text("\n".join(text[:-3]) + "\n")
         with pytest.raises(ValueError):
+            validate_vtk(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.replace("CELL_TYPES", "CELLTYPES"),
+         "missing 'CELL_TYPES' section"),
+        (lambda t: t.replace("CELLS 9 45", "CELLS 9 44"),
+         "CELLS size 44 != records 45"),
+        (lambda t: t.replace("CELL_TYPES 9", "CELL_TYPES 8"),
+         "CELL_TYPES count mismatch"),
+        (lambda t: t.replace("CELL_DATA 9", "CELL_DATA 10"),
+         "CELL_DATA count mismatch"),
+        (lambda t: t[:t.rindex("\n", 0, -1) + 1], "truncated VECTORS array"),
+        (lambda t: t[:-2] + "\n", "truncated VECTORS array"),
+    ])
+    def test_validator_rejects_inconsistent_file(self, tmp_path, edit,
+                                                 message):
+        gd = scheme_a(build_cartesian(2, 1.0))
+        path = tmp_path / "c.vtk"
+        write_vtk(gd, {"c": np.ones(gd.ndof)}, path,
+                  velocity=np.ones((gd.n_grad_cells, 2)))
+        text = path.read_text()
+        path.write_text(edit(text))
+        assert path.read_text() != text
+        with pytest.raises(ValueError, match=message):
             validate_vtk(path)
 
     def test_geometry_built_once_per_discretisation(self, tmp_path,
@@ -305,6 +329,18 @@ class TestCli:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("test=analytic1\nscheme a\n", ":2: expected key=value"),
+        ("# no test\nscheme=a\nn=4\ndt=0.1\n", "missing required key 'test'"),
+    ])
+    def test_run_malformed_config_exit_1(self, tmp_path, capsys, text,
+                                         message):
+        path = write_config(tmp_path, text)
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error")
+        assert message in err
+
     def test_missing_config_file_exit_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 
@@ -343,6 +379,67 @@ class TestCli:
         s_idx = header.index("S_D")
         s_vals = [float(r.split(",")[s_idx]) for r in rows[1:]]
         assert s_vals[0] > s_vals[1] > s_vals[2]
+
+    def test_quality_scheme_b(self, tmp_path, capsys):
+        assert main(["quality", "--scheme", "b", "--levels", "2",
+                     "--base", "2", "--out-dir", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "quality.csv").read_text().splitlines()
+        assert header == "mesh,h,ndof,C_D,S_D,W_D"
+        rows = [r.split(",") for r in rows]
+        assert [r[0] for r in rows] == ["tri2", "tri4"]
+        assert [int(r[2]) for r in rows] == [25, 81]
+        rep = quality.quality_report(sim.build_discretisation("b", 4, 1.0))
+        assert rows[1][3:] == [f"{v:.6g}" for v in (
+            rep.coercivity, rep.consistency, rep.limit_conformity)]
+        assert "tri4" in capsys.readouterr().out
+
+    def test_table_rows_and_ratios(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(io_cli, "_SUITES", {"ta1": [
+            ("analytic1", "a", "centred", ((4, 0.1), (8, 0.05))),
+            ("analytic1", "b", "centred", ((1, 0.1), (2, 0.05)))]})
+        assert main(["table", "--suite", "ta1",
+                     "--out-dir", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "errors.csv").read_text().splitlines()
+        assert header == "scheme,variant,mesh,dt,l1,l2,ratio_l1"
+        rows = [dict(zip(header.split(","), r.split(","))) for r in rows]
+        assert [(r["scheme"], r["mesh"], r["dt"]) for r in rows] == [
+            ("a", "4x4", "0.1"), ("a", "8x8", "0.05"),
+            ("b", "tri1", "0.1"), ("b", "tri2", "0.05")]
+        for first, second in (rows[:2], rows[2:]):
+            assert first["ratio_l1"] == "nan"
+            ratio = float(first["l1"]) / float(second["l1"])
+            assert float(second["ratio_l1"]) == pytest.approx(ratio,
+                                                              rel=1e-5)
+        assert f"wrote {tmp_path / 'errors.csv'}" in capsys.readouterr().out
+
+    def test_run_out_dir_overrides_config(self, tmp_path):
+        path = write_config(
+            tmp_path, "test=analytic1\nscheme=a\nn=4\ndt=0.1\n"
+                      f"out_dir={tmp_path / 'config_out'}\n")
+        assert main(["run", "--config", str(path),
+                     "--out-dir", str(tmp_path / "cli_out")]) == 0
+        assert (tmp_path / "cli_out" / "errors.csv").exists()
+        assert (tmp_path / "cli_out" / "diagnostics.csv").exists()
+        assert not (tmp_path / "config_out").exists()
+
+    def test_run_mesh_file_matches_level(self, tmp_path):
+        mesh_path = tmp_path / "tri2.mesh"
+        save_mesh(build_structured_triangulation(2, 1.0), mesh_path)
+        results = []
+        for tag, line in (("level", "level=2"),
+                          ("file", f"mesh_file={mesh_path}")):
+            path = write_config(
+                tmp_path, f"test=analytic2\nscheme=b\n{line}\ndt=0.1\n"
+                          f"out_dir={tmp_path / tag}\n", name=f"{tag}.cfg")
+            assert main(["run", "--config", str(path)]) == 0
+            state, report = sim.run_coupled(parse_config(path))
+            results.append((state, report,
+                            (tmp_path / tag / "diagnostics.csv").read_bytes()))
+        (s1, r1, d1), (s2, r2, d2) = results
+        for name in ("c", "p", "U"):
+            assert np.array_equal(getattr(s1, name), getattr(s2, name))
+        assert (r1.l1, r1.l2) == (r2.l1, r2.l2)
+        assert d1 == d2
 
     @pytest.mark.parametrize("levels", ["0", "-1"])
     def test_quality_without_levels_exit_1(self, tmp_path, capsys, levels):
@@ -408,6 +505,16 @@ class TestCli:
         assert main(["mesh-info", *args]) == 1
         captured = capsys.readouterr()
         assert "only one of --n, --reps, --mesh-file" in captured.err
+        assert captured.out == ""
+
+    def test_mesh_info_isolated_vertex_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "isolated.mesh"
+        path.write_text("vertices 4\n0 0\n1 0\n0 1\n1 1\n"
+                        "triangles 1\n0 1 2\n")
+        assert main(["mesh-info", "--mesh-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: isolated vertex: "
+                                "zero dual measure\n")
         assert captured.out == ""
 
     def test_mesh_info_non_finite_vertex_exit_1(self, tmp_path, capsys):

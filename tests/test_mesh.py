@@ -12,11 +12,10 @@ from gdflow.mesh import (
     build_dual,
     build_structured_triangulation,
     load_mesh,
-    save_mesh,
     validate_mesh,
 )
 
-from oracles import loop_edge_counts, loop_triangles
+from oracles import loop_edge_counts, loop_triangles, save_mesh
 
 
 def jittered_mesh_file(tmp_path, reps=3, seed=3):
@@ -188,32 +187,31 @@ class TestEdges:
 class TestDualMesh:
     def test_two_triangle_square_measures(self):
         mesh = unit_square_two_triangles()
-        dual = build_dual(mesh)
+        measures = build_dual(mesh)
         # vertices 0 and 2 touch both triangles, 1 and 3 just one
-        assert np.allclose(dual.measures, [1 / 3, 1 / 6, 1 / 3, 1 / 6])
-        assert np.isclose(dual.measures.sum(), 1.0)
+        assert np.allclose(measures, [1 / 3, 1 / 6, 1 / 3, 1 / 6])
+        assert np.isclose(measures.sum(), 1.0)
 
     def test_single_triangle_thirds(self):
         mesh = TriangularMesh(
             vertices=np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]),
             triangles=np.array([[0, 1, 2]]))
-        dual = build_dual(mesh)
-        assert np.allclose(dual.measures, 2.0 / 3.0)
+        assert np.allclose(build_dual(mesh), 2.0 / 3.0)
 
     def test_crisscross_interior_measures(self):
         # interior vertex (i, j) meets 8 triangles when i + j is even (both
         # halves of its four blocks), 4 otherwise: 4 h^2 / 3 or 2 h^2 / 3
         n = 4
         h = 1.0 / n
-        dual = build_dual(build_structured_triangulation(2, 1.0))
+        measures = build_dual(build_structured_triangulation(2, 1.0))
         for j in range(1, n):
             for i in range(1, n):
                 expected = (4.0 if (i + j) % 2 == 0 else 2.0) * h * h / 3.0
-                assert np.isclose(dual.measures[i + j * (n + 1)], expected)
+                assert np.isclose(measures[i + j * (n + 1)], expected)
 
     def test_measures_partition_domain(self):
         mesh = build_structured_triangulation(3, 1.0)
-        assert np.isclose(build_dual(mesh).measures.sum(), 1.0)
+        assert np.isclose(build_dual(mesh).sum(), 1.0)
 
 
 class TestMeshFile:
@@ -245,6 +243,26 @@ class TestMeshFile:
         path = tmp_path / "bad.mesh"
         path.write_text("vertices 2\n0 0\noops here\n")
         with pytest.raises(MeshParseError, match="line 3"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3\n0 0\n", r"line 1: expected 'vertices <vertex>'"),
+        ("vertex 3\n0 0\n", r"line 1: expected 'vertices <vertex>'"),
+        ("# header\nvertices three\n", r"line 2: bad vertex count 'three'"),
+        ("vertices -1\n", r"line 1: negative vertex count"),
+        ("vertices 3\n0 0\n1 0 0\n", r"line 3: expected 2 fields for vertex"),
+        ("vertices 3\n0 0\n1 0\n0 1\ntriangle 1\n0 1 2\n",
+         r"line 5: expected 'triangles <triangle>'"),
+        ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1\n",
+         r"line 6: expected 3 fields for triangle"),
+        ("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n\n0 1 2\n",
+         r"line 8: trailing content after triangle block"),
+    ])
+    def test_malformed_file_rejected_with_line(self, tmp_path, text,
+                                               message):
+        path = tmp_path / "bad.mesh"
+        path.write_text(text)
+        with pytest.raises(MeshParseError, match=message):
             load_mesh(path)
 
     def test_truncated_file(self, tmp_path):

@@ -13,7 +13,6 @@ from gdflow.physics import (
     AnalyticalRadialSolution,
     DispersionParams,
     MobilityTensor,
-    ViscosityModel,
     psi,
     tensor_D_field,
     truncate,
@@ -41,34 +40,31 @@ class TestTruncate:
 
 class TestViscosity:
     def test_m41_endpoint(self):
-        model = ViscosityModel(M=41.0)
-        assert np.isclose(viscosity(model, 1.0), 1.0 / 41.0)
+        assert np.isclose(viscosity(41.0, 1.0), 1.0 / 41.0)
 
     def test_m1_constant(self):
-        model = ViscosityModel(M=1.0)
         for c in (0.0, 0.3, 1.0):
-            assert viscosity(model, c) == 1.0
+            assert viscosity(1.0, c) == 1.0
 
     def test_argument_clamped(self):
-        model = ViscosityModel(M=40.0)
-        assert viscosity(model, -3.0) == viscosity(model, 0.0)
-        assert viscosity(model, 2.0) == viscosity(model, 1.0)
+        assert viscosity(40.0, -3.0) == viscosity(40.0, 0.0)
+        assert viscosity(40.0, 2.0) == viscosity(40.0, 1.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            ViscosityModel(M=0.0)
+            MobilityTensor(M=0.0)
         with pytest.raises(ValueError):
-            ViscosityModel(M=0.5)
+            MobilityTensor(M=0.5)
 
     @pytest.mark.parametrize("kwargs", [dict(M=np.nan), dict(M=np.inf),
                                         dict(M=-np.inf)])
     def test_non_finite_rejected(self, kwargs):
         with pytest.raises(ValueError, match="finite"):
-            ViscosityModel(**kwargs)
+            MobilityTensor(**kwargs)
 
     def test_mobility_bounds(self):
         # k / mu(c) runs from k at c = 0 to k M at c = 1
-        mob = MobilityTensor(k=80.0, viscosity_model=ViscosityModel(M=41.0))
+        mob = MobilityTensor(k=80.0, M=41.0)
         assert np.isclose(mob.scalar(0.0), 80.0)
         assert np.isclose(mob.scalar(1.0), 80.0 * 41.0)
         c = np.linspace(0.0, 1.0, 11)

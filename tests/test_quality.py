@@ -149,6 +149,13 @@ class TestLimitConformity:
             gd, lambda p: np.zeros((len(p), 2)), lambda p: np.zeros(len(p)))
         assert defect == 0.0
 
+    def test_nonzero_normal_trace_rejected(self):
+        with pytest.raises(ValueError, match="nonzero normal trace"):
+            limit_conformity_defect(
+                make_a(4), lambda p: np.column_stack([np.ones(len(p)),
+                                                      np.zeros(len(p))]),
+                lambda p: np.zeros(len(p)))
+
     def test_decreases_under_refinement(self):
         phi, div_phi = default_test_field()
         vals = [limit_conformity_defect(make_a(n), phi, div_phi)

@@ -9,6 +9,7 @@ from gdflow.sim import (
     error_norms,
     run_coupled,
 )
+import gdflow
 from gdflow import assembly, linalg
 
 
@@ -240,3 +241,8 @@ class TestConvergenceSuite:
         assert np.isnan(rows[0]["ratio_l1"])
         assert np.isclose(rows[1]["ratio_l1"], rows[0]["l1"] / rows[1]["l1"])
         assert rows[1]["l1"] < rows[0]["l1"]
+
+
+def test_public_names_resolve():
+    for name in gdflow.__all__:
+        assert getattr(gdflow, name) is not None
