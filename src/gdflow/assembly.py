@@ -164,18 +164,94 @@ def convection_matrix(gd, U, variant):
     return C
 
 
-def eliminate_dirichlet(A, free_idx):
-    """The free block A[free, free] left by eliminating the Dirichlet dofs,
-    with sorted column indices."""
-    block = A[free_idx][:, free_idx]
-    block.has_sorted_indices = False  # A may come with unsorted rows
-    block.sort_indices()
-    return block
+def free_block_map(A, free_idx):
+    """The gather map from the entries of A, a CSR matrix with sorted rows,
+    to its free block A[free, free]: the positions of the kept entries in
+    A.data, and the block as a CSR template with sorted rows whose data is
+    filled by ``eliminate_dirichlet``."""
+    n = A.shape[0]
+    new = np.full(n, -1)
+    new[free_idx] = np.arange(len(free_idx))
+    rows = new[np.repeat(np.arange(n), np.diff(A.indptr))]
+    cols = new[A.indices]
+    gather = np.flatnonzero((rows >= 0) & (cols >= 0))
+    m = len(free_idx)
+    indptr = np.searchsorted(rows[gather], np.arange(m + 1))
+    return gather, sp.csr_matrix((A.data[gather], cols[gather], indptr),
+                                 shape=(m, m))
 
 
-def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
-                   dirichlet=None, cache=None):
-    """One implicit transport step.
+def eliminate_dirichlet(A, free_block):
+    """The free block A[free, free] left by eliminating the Dirichlet dofs.
+
+    A comes with sorted rows, in the pattern that ``free_block``, the
+    result of ``free_block_map``, was computed for; the block keeps that
+    order, so its rows are sorted too.
+    """
+    gather, block = free_block
+    return sp.csr_matrix((A.data[gather], block.indices, block.indptr),
+                         shape=block.shape)
+
+
+class TransportOperator:
+    """The transport matrices of one velocity U and time step dt.
+
+    ``base`` = mass / dt + diffusion (+ the production reaction) and the
+    convection ``C`` define the residual F(c) = base c + C T(c) - b0 and the
+    Jacobian base + C diag(theta).  Both are also kept as values
+    ``base_P``, ``C_P`` on ``pattern``, the sorted union P of their
+    patterns, with the column ``cols`` of every entry, so that each
+    Jacobian is base_P + C_P * theta[cols] on the one pattern P.  With
+    ``dirichlet_dofs``, ``free_block`` maps P to its free block.
+    """
+
+    def __init__(self, gd, U, dt, dsrc, params, variant, dirichlet_dofs=None):
+        self.dt = dt
+        self.mass = params.phi * gd.recon_measures
+        base = sp.diags(self.mass / dt) + diffusion_matrix(gd, U, params,
+                                                           variant)
+        if dsrc.production_in_transport and np.any(dsrc.q_production):
+            base = base + sp.diags(dsrc.q_production)
+        self.base = base.tocsr()
+        self.C = convection_matrix(gd, U, variant)
+        self.q_injection = dsrc.q_injection
+
+        # tag the entries of base with 1 and those of C with 2: on sorted
+        # rows their sum is P, and its tags tell whose entries P holds
+        n = gd.ndof
+        base_s, C_s = self.base.sorted_indices(), self.C.sorted_indices()
+        P = (sp.csr_matrix((np.ones(base_s.nnz), base_s.indices,
+                            base_s.indptr), shape=(n, n))
+             + sp.csr_matrix((np.full(C_s.nnz, 2.0), C_s.indices,
+                              C_s.indptr), shape=(n, n)))
+        self.base_P = np.zeros(P.nnz)
+        self.base_P[P.data != 2.0] = base_s.data
+        self.C_P = np.zeros(P.nnz)
+        self.C_P[P.data != 1.0] = C_s.data
+        self.pattern = P
+        self.cols = P.indices.astype(np.intp)
+
+        self.free = np.ones(n, dtype=bool)
+        self.dirichlet_dofs = dirichlet_dofs
+        self.free_block = None
+        if dirichlet_dofs is not None:
+            self.free[dirichlet_dofs] = False
+            self.free_block = free_block_map(self.pattern,
+                                             np.flatnonzero(self.free))
+
+    def jacobian(self, theta):
+        """base + C diag(theta) on P, as base_P + C_P * theta[cols]; with
+        Dirichlet dofs, its free block."""
+        P = self.pattern
+        J = sp.csr_matrix((self.base_P + self.C_P * theta[self.cols],
+                           P.indices, P.indptr), shape=P.shape)
+        if self.free_block is not None:
+            J = eliminate_dirichlet(J, self.free_block)
+        return J
+
+
+def transport_step(op, c_prev, dirichlet=None, cache=None):
+    """One implicit transport step on the ``TransportOperator`` op.
 
     The truncation nonlinearity is resolved by a semismooth Newton
     ("Picard") iteration on the free rows of F(c) = base c + C T(c) - b0.
@@ -185,25 +261,22 @@ def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
     already holds.  An Armijo line search globalises c = z - lam delta:
     unless the full step passes the convergence test, lam = 1 is halved
     (down to MIN_STEP) while ||F(c)|| > (1 - ARMIJO_DECREASE lam) ||F(z)||.
+    ``dirichlet`` gives the values on the operator's Dirichlet dofs.
 
     Returns (c_next, info) with the iteration count, the number of step
     halvings and the accepted residual; raises PicardError with the
     residual history after PICARD_MAX_ITER iterations.
     """
-    mass = params.phi * gd.recon_measures
-    base = sp.diags(mass / dt) + diffusion_matrix(gd, U, params, variant)
-    if dsrc.production_in_transport and np.any(dsrc.q_production):
-        base = base + sp.diags(dsrc.q_production)
-    base = base.tocsr()
-    C = convection_matrix(gd, U, variant)
-    b0 = mass * c_prev / dt + dsrc.q_injection
-
-    free = np.ones(gd.ndof, dtype=bool)
+    if (dirichlet is None) != (op.dirichlet_dofs is None) or (
+            dirichlet is not None
+            and not np.array_equal(dirichlet.dofs, op.dirichlet_dofs)):
+        raise ConfigError("Dirichlet dofs differ from those of the "
+                          "transport operator")
+    base, C, free = op.base, op.C, op.free
+    b0 = op.mass * c_prev / op.dt + op.q_injection
     z = c_prev.copy()
     if dirichlet is not None:
-        free[dirichlet.dofs] = False
         z[dirichlet.dofs] = dirichlet.values
-    free_idx = np.flatnonzero(free)
     scale = max(float(np.linalg.norm(b0)), 1e-30)
 
     def residual(c):
@@ -217,11 +290,8 @@ def transport_step(gd, U, c_prev, dt, dsrc, params, variant,
     backtracks = 0
     for it in range(1, PICARD_MAX_ITER + 1):
         theta = ((z >= 0.0) & (z <= 1.0)).astype(float)
-        J = (base + C @ sp.diags(theta)).tocsr()
-        if dirichlet is not None:
-            J = eliminate_dirichlet(J, free_idx)
-        delta = np.zeros(gd.ndof)
-        delta[free] = cache.solve(J, F)
+        delta = np.zeros(len(z))
+        delta[free] = cache.solve(op.jacobian(theta), F)
         c, lam = z - delta, 1.0
         F, res = residual(c)
         converged = (res <= PICARD_TOL * scale

@@ -62,8 +62,8 @@ def write_csv(path, fieldnames, rows):
 
 ERROR_COLUMNS = ("scheme", "variant", "mesh", "dt", "l1", "l2", "ratio_l1")
 DIAG_COLUMNS = ("step", "t", "mass_residual", "pressure_mean",
-                "picard_iters", "picard_residual", "backtracks",
-                "factorizations", "cmin", "cmax")
+                "picard_iters", "picard_residual", "picard_relative",
+                "backtracks", "factorizations", "cmin", "cmax")
 
 
 def write_error_rows(path, rows):

@@ -125,7 +125,8 @@ class FactorizationCache:
 
     Keeps a reference matrix A0, as its own copy so that a caller may change
     a matrix in place, and its LU.  A new A of the same shape, whose
-    D = A - A0 changes the columns S, is solved
+    D = A - A0 changes the columns S (read from the values alone when A has
+    the pattern of A0), is solved
     - with the LU of A0 when S is empty;
     - as x = y - Z_S (I + Z_S[S, :])^-1 y[S], y = A0^-1 b, Z_j = A0^-1 D_j
       (Sherman-Morrison-Woodbury) when |S| <= MAX_UPDATE_RANK.  Each Z_j
@@ -154,29 +155,59 @@ class FactorizationCache:
         self._Z = np.zeros((MAX_UPDATE_RANK, A.shape[0]))
         self.factorizations += 1
 
+    def _difference(self, A):
+        """The columns S in which A differs from A0, each with the rows and
+        values of D_j = A_j - A0_j in ascending row order; None when more
+        than MAX_UPDATE_RANK columns changed or a change is not finite."""
+        A0 = self._A
+        if np.array_equal(A.indptr, A0.indptr) \
+                and np.array_equal(A.indices, A0.indices):
+            # one pattern: compare the values, form D only where they differ
+            at = np.flatnonzero(A.data != A0.data)
+            changed = np.zeros(A.shape[1], dtype=bool)
+            changed[A.indices[at]] = True
+            S = np.flatnonzero(changed)
+            if len(S) > MAX_UPDATE_RANK:
+                return None
+            at = at[np.argsort(A.indices[at], kind="stable")]
+            cols = A.indices[at]
+            rows = np.searchsorted(A.indptr, at, side="right") - 1
+            values = A.data[at] - A0.data[at]
+            starts = np.searchsorted(cols, S)
+            ends = np.searchsorted(cols, S, side="right")
+        else:
+            D = A - A0
+            D.eliminate_zeros()
+            S = np.flatnonzero(np.bincount(D.indices, minlength=A.shape[1]))
+            if len(S) > MAX_UPDATE_RANK:
+                return None
+            D = D.tocsc()
+            rows, values = D.indices, D.data
+            starts, ends = D.indptr[S], D.indptr[S + 1]
+        if not np.all(np.isfinite(values)):
+            return None
+        return S, [(rows[i:j], values[i:j]) for i, j in zip(starts, ends)]
+
     def _update(self, A):
         """The columns S in which A differs from A0 and the rows of their
         Z_j in ``_Z``, computing the Z_j not yet kept; None when A must be
         factored instead."""
         if self._A is None or A.shape != self._A.shape:
             return None
-        D = A - self._A
-        D.eliminate_zeros()
-        S = np.flatnonzero(np.bincount(D.indices, minlength=A.shape[1]))
-        if len(S) > MAX_UPDATE_RANK or not np.all(np.isfinite(D.data)):
+        diff = self._difference(A)
+        if diff is None:
             return None
+        S, parts = diff
         if len(self._cols) + sum(j not in self._cols for j in S) \
                 > MAX_UPDATE_RANK:
             return None
-        D = D.tocsc()
         rows = np.empty(len(S), dtype=int)
-        for k, j in enumerate(S):
-            part = slice(D.indptr[j], D.indptr[j + 1])
-            key = (D.indices[part].tobytes(), D.data[part].tobytes())
+        for k, (j, (idx, val)) in enumerate(zip(S, parts)):
+            key = (idx.tobytes(), val.tobytes())
             row, kept = self._cols.get(j, (len(self._cols), None))
             if kept != key:
                 d = np.zeros(A.shape[0])
-                d[D.indices[part]] = D.data[part]
+                d[idx] = val
                 self._Z[row] = self._lu.solve(d)
                 self._cols[j] = (row, key)
             rows[k] = row

@@ -203,7 +203,7 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
     c = np.zeros(gd.ndof) if c0 is None else gd.interpolate(c0)
 
     constant_mobility = problem.mobility.M == 1.0
-    cached_pressure = None
+    cached_pressure = operator = None
     transport_cache = linalg.FactorizationCache()
     diagnostics = []
     start = time.perf_counter()
@@ -215,17 +215,21 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
         t_next = (n + 1) * config.dt
         try:
             if cached_pressure is None:
+                operator = None  # free it before the next one is built
                 p, U, p_info = assembly.solve_pressure(
                     gd, c, problem.mobility, problem.dsrc)
                 if constant_mobility:
                     cached_pressure = (p, U, p_info)
             else:
                 p, U, p_info = cached_pressure
+            if operator is None:
+                operator = assembly.TransportOperator(
+                    gd, U, config.dt, problem.dsrc, problem.params,
+                    config.variant, problem.dirichlet_dofs)
             c_prev = c
             factored = transport_cache.factorizations
             c, t_info = assembly.transport_step(
-                gd, U, c_prev, config.dt, problem.dsrc, problem.params,
-                config.variant, dirichlet=problem.dirichlet_at(t_next),
+                operator, c_prev, dirichlet=problem.dirichlet_at(t_next),
                 cache=transport_cache)
         except (linalg.SolverError, assembly.PicardError) as exc:
             exc.args = (f"step {n + 1} (t={t_next:g}): {exc.args[0]}",) \

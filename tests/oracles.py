@@ -6,10 +6,15 @@ partial-sum form of the radial profile, the ray-angle form of the lineic
 production, and the loop builders of the structured triangulation, the edge
 incidence counts, the VTK polygons, the Gauss points of rectangles and the
 P1 gradients and dual quadrature points.  ``save_mesh`` writes the mesh
-files the tests read back.
+files the tests read back.  ``transport_matrices`` and
+``transport_jacobian`` are the per-step and per-iteration transport
+assembly that ``TransportOperator`` replaced.
 """
 
 import numpy as np
+import scipy.sparse as sp
+
+from gdflow.assembly import convection_matrix, diffusion_matrix
 
 
 def tensor_D(params, u):
@@ -190,3 +195,22 @@ def save_mesh(mesh, path):
         np.savetxt(f, mesh.vertices, fmt="%.17g")
         f.write(f"triangles {mesh.n_triangles}\n")
         np.savetxt(f, mesh.triangles, fmt="%d")
+
+
+def transport_matrices(gd, U, dt, dsrc, params, variant):
+    """base = mass / dt + diffusion (+ the production reaction) and the
+    convection C, assembled anew for one transport step."""
+    mass = params.phi * gd.recon_measures
+    base = sp.diags(mass / dt) + diffusion_matrix(gd, U, params, variant)
+    if dsrc.production_in_transport and np.any(dsrc.q_production):
+        base = base + sp.diags(dsrc.q_production)
+    return base.tocsr(), convection_matrix(gd, U, variant)
+
+
+def transport_jacobian(base, C, theta, free_idx=None):
+    """base + C diag(theta) by a sparse product and sum, and its free block
+    A[free, free] by slicing when ``free_idx`` is given."""
+    J = (base + C @ sp.diags(theta)).tocsr()
+    if free_idx is not None:
+        J = J.tocsc()[:, free_idx][free_idx].tocsr()
+    return J

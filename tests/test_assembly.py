@@ -13,11 +13,13 @@ from gdflow.assembly import (
     PicardError,
     DirichletBC,
     DiscreteSources,
+    TransportOperator,
     artificial_diffusion,
     convection_matrix,
     diffusion_matrix,
     discretize_sources,
     eliminate_dirichlet,
+    free_block_map,
     mass_balance_residual,
     pressure_matrix,
     solve_pressure,
@@ -26,6 +28,7 @@ from gdflow.assembly import (
 from gdflow.gd import scheme_a, scheme_b
 from gdflow.mesh import build_cartesian, build_dual, build_structured_triangulation
 from gdflow.physics import DispersionParams, MobilityTensor
+from oracles import transport_jacobian, transport_matrices
 
 
 def make_a(n=3, L=1.0):
@@ -44,6 +47,13 @@ def no_sources(gd):
 
 def unit_mobility():
     return MobilityTensor(k=1.0, M=1.0)
+
+
+def step(gd, U, c_prev, dt, dsrc, params, variant, dirichlet=None):
+    """transport_step on the operator of (U, dt)."""
+    dofs = None if dirichlet is None else dirichlet.dofs
+    op = TransportOperator(gd, U, dt, dsrc, params, variant, dofs)
+    return transport_step(op, c_prev, dirichlet=dirichlet)
 
 
 class TestDiscreteSources:
@@ -185,7 +195,8 @@ class TestDirichlet:
         rng = np.random.default_rng(4)
         dense = rng.standard_normal((6, 6)) + 6 * np.eye(6)
         free = np.array([0, 2, 3, 5])
-        A_ff = eliminate_dirichlet(sp.csr_matrix(dense), free)
+        A = sp.csr_matrix(dense)
+        A_ff = eliminate_dirichlet(A, free_block_map(A, free))
         assert A_ff.format == "csr"
         assert np.array_equal(A_ff.toarray(), dense[np.ix_(free, free)])
 
@@ -200,7 +211,9 @@ class TestDirichlet:
         assert not A.has_sorted_indices
         free = np.flatnonzero(np.arange(30) % 4 != 1)
         ref = A.tocsc()[:, free][free].tocsr()
-        A_ff = eliminate_dirichlet(A, free)
+        # the elimination takes sorted rows
+        A = A.sorted_indices()
+        A_ff = eliminate_dirichlet(A, free_block_map(A, free))
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A_ff, part), getattr(ref, part))
 
@@ -216,7 +229,7 @@ class TestTransportStep:
         U = 0.3 * rng.standard_normal((gd.n_grad_cells, 2))
         c_prev = np.clip(rng.random(gd.ndof), 0.0, 1.0)
         params = self.params()
-        c, info = transport_step(gd, U, c_prev, 0.1, dsrc, params, "centred")
+        c, info = step(gd, U, c_prev, 0.1, dsrc, params, "centred")
         m0 = params.phi * gd.recon_measures @ c_prev
         m1 = params.phi * gd.recon_measures @ c
         assert abs(m1 - m0) <= 1e-10 * max(abs(m0), 1.0)
@@ -226,7 +239,7 @@ class TestTransportStep:
         dsrc = discretize_sources(gd, 1.0, 2.0)
         c_prev = np.ones(gd.ndof)
         _, U, _ = solve_pressure(gd, c_prev, unit_mobility(), dsrc)
-        c, info = transport_step(gd, U, c_prev, 0.05, dsrc, self.params(),
+        c, info = step(gd, U, c_prev, 0.05, dsrc, self.params(),
                                  "centred")
         assert np.max(np.abs(c - 1.0)) <= 1e-10
 
@@ -240,7 +253,7 @@ class TestTransportStep:
         c_prev = 0.25 + 0.5 * rng.random(gd.ndof)
         params = self.params()
         dt = 0.05
-        c, info = transport_step(gd, U, c_prev, dt, dsrc, params, "centred")
+        c, info = step(gd, U, c_prev, dt, dsrc, params, "centred")
         assert np.all(c >= -1e-9) and np.all(c <= 1.0 + 1e-9)
         mass = params.phi * gd.recon_measures
         base = sp.diags(mass / dt) + diffusion_matrix(gd, U, params, "centred")
@@ -259,7 +272,7 @@ class TestTransportStep:
         bc = DirichletBC(dofs=dofs, values=np.full(len(dofs), 0.25))
         params = self.params()
         dt = 0.05
-        c, info = transport_step(gd, U, c_prev, dt, dsrc, params, "centred",
+        c, info = step(gd, U, c_prev, dt, dsrc, params, "centred",
                                  dirichlet=bc)
         assert np.allclose(c[dofs], 0.25)
         # interior residual of the full nonlinear equation
@@ -272,11 +285,24 @@ class TestTransportStep:
         free[dofs] = False
         assert np.max(np.abs(r[free])) <= 1e-9
 
+    def test_dirichlet_dofs_must_be_the_operators(self):
+        gd = make_a(3)
+        dsrc = no_sources(gd)
+        U = np.zeros((gd.n_grad_cells, 2))
+        c_prev = np.zeros(gd.ndof)
+        bc = DirichletBC(dofs=np.array([0, 1]), values=np.zeros(2))
+        plain = TransportOperator(gd, U, 0.1, dsrc, self.params(), "centred")
+        other = TransportOperator(gd, U, 0.1, dsrc, self.params(), "centred",
+                                  np.array([0, 2]))
+        for op, dirichlet in ((plain, bc), (other, bc), (other, None)):
+            with pytest.raises(ConfigError, match="Dirichlet dofs"):
+                transport_step(op, c_prev, dirichlet=dirichlet)
+
     def test_picard_reports_iterations(self):
         gd = make_a(3)
         dsrc = no_sources(gd)
         U = np.zeros((gd.n_grad_cells, 2))
-        c, info = transport_step(gd, U, np.zeros(gd.ndof), 0.1, dsrc,
+        c, info = step(gd, U, np.zeros(gd.ndof), 0.1, dsrc,
                                  self.params(), "centred")
         assert info["picard_iters"] >= 1
         assert info["picard_relative"] <= 1e-9 or info["picard_residual"] == 0.0
@@ -301,7 +327,7 @@ def converged_step(variant, *args, **kwargs):
     stalls: only that variant may raise PicardError (see
     TestCentredStall); the monotone variants must converge."""
     try:
-        return transport_step(*args, variant, **kwargs)
+        return step(*args, variant, **kwargs)
     except PicardError as exc:
         if variant != "centred":
             raise
@@ -339,7 +365,7 @@ class TestTransportProperties:
         dsrc = discretize_sources(gd, 1.0, rate)
         c_prev = np.ones(gd.ndof)
         _, U, _ = solve_pressure(gd, c_prev, unit_mobility(), dsrc)
-        c, _ = transport_step(gd, U, c_prev, dt, dsrc, self.params, variant)
+        c, _ = step(gd, U, c_prev, dt, dsrc, self.params, variant)
         assert np.max(np.abs(c - 1.0)) <= 1e-10
 
     @PROPERTY
@@ -390,6 +416,52 @@ class TestTransportProperties:
         assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(b0)
 
 
+def stored(A):
+    """Rows and columns of the stored entries of A."""
+    A = A.tocoo()
+    return A.row, A.col
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+class TestTransportOperatorProperties:
+    @PROPERTY
+    @given(geometry=GEOMETRIES, seed=SEEDS, dt=STEPS,
+           rate=st.sampled_from([None, 2.0]),
+           dispersion=st.sampled_from([(0.5, 0.2, 0.05), (0.0, 0.2, 0.05),
+                                       (0.0, 0.0, 0.0)]),
+           dirichlet=st.booleans())
+    def test_fixed_pattern_jacobian_is_the_assembled_one(
+            self, variant, geometry, seed, dt, rate, dispersion, dirichlet):
+        gd = small_gd(*geometry)
+        rng = np.random.default_rng(seed)
+        U = 0.3 * rng.standard_normal((gd.n_grad_cells, 2))
+        U[rng.random(gd.n_grad_cells) < 0.3] = 0.0  # cells at rest
+        dm, dl, dt_disp = dispersion
+        params = DispersionParams(phi=0.1, dm=dm, dl=dl, dt_=dt_disp)
+        dsrc = discretize_sources(gd, 1.0, rate)
+        dofs = free = None
+        if dirichlet:
+            dofs = np.sort(rng.choice(gd.ndof, size=rng.integers(1, gd.ndof),
+                                      replace=False))
+            free = np.setdiff1d(np.arange(gd.ndof), dofs)
+        op = TransportOperator(gd, U, dt, dsrc, params, variant, dofs)
+        base, C = transport_matrices(gd, U, dt, dsrc, params, variant)
+        for got, ref in ((op.base, base), (op.C, C)):
+            assert np.array_equal(got.toarray(), ref.toarray())
+        # every entry of base and C lies in P; with longitudinal
+        # dispersion, the diffusion stencil also holds the upstream C
+        in_P = op.pattern.toarray() != 0
+        upstream = convection_matrix(gd, U, "upstream")
+        for A in (base, C) + ((upstream,) if dl > 0 else ()):
+            assert np.all(in_P[stored(A)])
+        for theta in (rng.integers(0, 2, gd.ndof).astype(float),
+                      np.zeros(gd.ndof), np.ones(gd.ndof)):
+            J = op.jacobian(theta)
+            ref = transport_jacobian(base, C, theta, free)
+            assert J.has_sorted_indices
+            assert np.array_equal(J.toarray(), ref.toarray())
+
+
 class TestPressureProperties:
     @PROPERTY
     @given(geometry=GEOMETRIES, seed=SEEDS, rate=RATES,
@@ -414,7 +486,7 @@ class TestCentredStall:
         rng = np.random.default_rng(0)
         U = rng.standard_normal((gd.n_grad_cells, 2))
         c_prev = rng.random(gd.ndof)
-        transport_step(gd, U, c_prev, 0.1, dsrc,
+        step(gd, U, c_prev, 0.1, dsrc,
                        TestTransportProperties.params, "centred")
 
 
@@ -426,6 +498,6 @@ class TestMassBalanceResidual:
         params = DispersionParams(phi=0.1, dm=0.5)
         c_prev = np.zeros(gd.ndof)
         p, U, _ = solve_pressure(gd, c_prev, mobility, dsrc)
-        c, _ = transport_step(gd, U, c_prev, 0.05, dsrc, params, "centred")
+        c, _ = step(gd, U, c_prev, 0.05, dsrc, params, "centred")
         res = mass_balance_residual(gd, c_prev, c, 0.05, dsrc, params)
         assert res <= 1e-9

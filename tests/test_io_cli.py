@@ -354,7 +354,8 @@ class TestCli:
         assert (out / "errors.csv").exists()
         assert (out / "diagnostics.csv").read_text().splitlines()[0] == (
             "step,t,mass_residual,pressure_mean,picard_iters,"
-            "picard_residual,backtracks,factorizations,cmin,cmax")
+            "picard_residual,picard_relative,backtracks,factorizations,"
+            "cmin,cmax")
         assert (out / "fields_8.vtk").exists()
         validate_vtk(out / "fields_8.vtk")
         assert "L1=" in capsys.readouterr().out

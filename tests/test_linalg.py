@@ -328,6 +328,80 @@ class TestFactorizationCacheUpdate:
             assert cache.factorizations == expected
 
 
+def on_pattern(A0, cols, seed):
+    """A0 with new values in its stored entries of the columns ``cols``."""
+    A = A0.copy()
+    hit = np.isin(A.indices, cols)
+    A.data[hit] += np.random.default_rng(seed).uniform(0.5, 1.0, hit.sum())
+    return A
+
+
+class TestFactorizationCacheSamePattern:
+    """A matrix on the pattern of A0: the changed columns are read from the
+    values, and no sparse difference A - A0 is formed."""
+
+    @pytest.fixture
+    def no_difference(self, monkeypatch):
+        def forbidden(self, other):
+            raise AssertionError("formed A - A0")
+        monkeypatch.setattr(sp.csr_matrix, "__sub__", forbidden)
+
+    @pytest.mark.parametrize("k", [1, MAX_UPDATE_RANK])
+    def test_few_changed_columns_are_an_update(self, monkeypatch,
+                                               no_difference, k):
+        solves = []
+        real = linalg._lu
+        monkeypatch.setattr(linalg, "_lu",
+                            lambda A: CountingLU(real(A), solves))
+        n = 60
+        A0 = dominant(n, seed=11)
+        cols = np.random.default_rng(12).choice(n, size=k, replace=False)
+        A1 = on_pattern(A0, cols, seed=13)
+        b = np.random.default_rng(14).standard_normal(n)
+        cache = FactorizationCache()
+        cache.solve(A0, b)
+        x = cache.solve(A1, b)
+        assert np.allclose(x, np.linalg.solve(A1.toarray(), b), rtol=0.0,
+                           atol=1e-12)
+        assert cache.factorizations == 1
+        # one solve per right-hand side, and one per changed column
+        assert len(solves) == 2 + k
+
+    def test_many_changed_columns_are_factored(self, monkeypatch,
+                                               no_difference):
+        solves = []
+        real = linalg._lu
+        monkeypatch.setattr(linalg, "_lu",
+                            lambda A: CountingLU(real(A), solves))
+        n = 60
+        A0 = dominant(n, seed=15)
+        A1 = on_pattern(A0, np.arange(MAX_UPDATE_RANK + 1), seed=16)
+        b = np.random.default_rng(17).standard_normal(n)
+        cache = FactorizationCache()
+        cache.solve(A0, b)
+        x = cache.solve(A1, b)
+        assert np.allclose(x, np.linalg.solve(A1.toarray(), b), rtol=0.0,
+                           atol=1e-12)
+        assert cache.factorizations == 2
+        assert len(solves) == 2  # no column of an update was solved
+
+    def test_new_pattern_is_an_update_of_the_difference(self):
+        n = 40
+        A0 = dominant(n, seed=18)
+        dense = A0.toarray()
+        j = int(np.flatnonzero(dense[:, 7] == 0.0)[0])
+        dense[j, 7] = 0.5  # one entry outside the pattern of A0
+        A1 = on_pattern(sp.csr_matrix(dense), [2, 30], seed=19)
+        assert A1.nnz == A0.nnz + 1
+        b = np.random.default_rng(20).standard_normal(n)
+        cache = FactorizationCache()
+        cache.solve(A0, b)
+        x = cache.solve(A1, b)
+        assert np.allclose(x, np.linalg.solve(A1.toarray(), b), rtol=0.0,
+                           atol=1e-12)
+        assert cache.factorizations == 1
+
+
 class TestResidualNorm:
     def test_exact_solution(self):
         A = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 5.0]]))

@@ -127,9 +127,9 @@ class TestRunCoupled:
         seen = []
         real = assembly.transport_step
 
-        def recording(gd, U, c_prev, dt, *args, **kwargs):
-            seen.append(dt)
-            return real(gd, U, c_prev, dt, *args, **kwargs)
+        def recording(op, *args, **kwargs):
+            seen.append(op.dt)
+            return real(op, *args, **kwargs)
         monkeypatch.setattr(assembly, "transport_step", recording)
         run_coupled(self.TABLE1_COARSE)
         assert len(seen) == 20
@@ -185,6 +185,39 @@ class TestLuUpdateTrajectory:
         assert factorizations[0] < factorizations[1], factorizations
 
 
+class TestTransportOperatorReuse:
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(test="analytic1", scheme="b", reps=4, dt=0.04),
+        RunConfig(test="analytic2", scheme="b", reps=4, dt=0.04),
+    ], ids=["analytic1_once_per_run", "analytic2_once_per_step"])
+    def test_matrices_built_once_per_velocity(self, cfg, monkeypatch):
+        calls = {"diffusion_matrix": 0, "convection_matrix": 0}
+        for name in calls:
+            def counting(*args, _real=getattr(assembly, name), _name=name,
+                         **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(assembly, name, counting)
+        run_coupled(cfg)
+        cfg = cfg.resolved()
+        built = 1 if cfg.m_ratio == 1.0 else cfg.n_steps
+        assert calls == {"diffusion_matrix": built, "convection_matrix": built}
+
+    def test_same_counts_as_per_step_assembly(self):
+        # per-step counts of the analytic1 B tri16 run with base and C
+        # assembled anew on every step and J on every iteration
+        cfg = RunConfig(test="analytic1", scheme="b", reps=16, dt=0.02)
+        _, report = run_coupled(cfg)
+        counts = {key: [row[key] for row in report.diagnostics]
+                  for key in ("picard_iters", "backtracks", "factorizations")}
+        assert counts == {
+            "picard_iters": [2, 2, 3, 2, 2, 3] + [2] * 14,
+            "backtracks": [0] * 20,
+            "factorizations": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0,
+                               0, 1, 0, 0, 0],
+        }
+
+
 class TestPicardIteration:
     def test_line_search_bounds_iterations(self):
         # a Table 2 scheme B centred column (`gdflow table --suite ta2b`):
@@ -207,8 +240,10 @@ class TestPicardIteration:
         c0 = np.zeros(gd.ndof)
         _, U, _ = assembly.solve_pressure(gd, c0, problem.mobility,
                                           problem.dsrc)
-        args = (gd, U, c0, 0.1, problem.dsrc, problem.params, "centred")
-        return args, problem.dirichlet_at(0.1)
+        op = assembly.TransportOperator(gd, U, 0.1, problem.dsrc,
+                                        problem.params, "centred",
+                                        problem.dirichlet_dofs)
+        return (op, c0), problem.dirichlet_at(0.1)
 
     def test_picard_error_keeps_history(self, monkeypatch):
         args, bc = self.first_step()
