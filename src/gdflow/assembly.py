@@ -48,20 +48,6 @@ class DiscreteSources:
         return self.q_injection - self.q_production
 
 
-@dataclass(frozen=True)
-class DirichletBC:
-    """Prescribed dof values; their rows and columns are eliminated."""
-
-    dofs: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.dofs) == 0:
-            raise ConfigError("empty Dirichlet dof set")
-        if len(self.dofs) != len(self.values):
-            raise ConfigError("Dirichlet dofs/values length mismatch")
-
-
 def _locate_dof(gd, point):
     d2 = ((gd.anchors - np.asarray(point)) ** 2).sum(axis=1)
     i = int(np.argmin(d2))
@@ -123,11 +109,8 @@ def solve_pressure(gd, c_prev, mobility, dsrc):
     # pin the zero-mean normalisation exactly (G annihilates constants)
     p = p - (m @ p) / gd.domain_area
     U = -a[:, None] * gd.grad(p)
-    info = {
-        "pressure_mean": float(m @ p),
-        "rhs_norm": float(np.linalg.norm(b)),
-        "residual": linalg.residual_norm(G, p, b, rank_one=mean),
-    }
+    info = {"pressure_mean": float(m @ p),
+            "rhs_norm": float(np.linalg.norm(b))}
     return p, U, info
 
 
@@ -194,41 +177,45 @@ def eliminate_dirichlet(A, free_block):
 
 
 class TransportOperator:
-    """The transport matrices of one velocity U and time step dt.
+    """The transport system of one velocity U and time step dt.
 
     ``base`` = mass / dt + diffusion (+ the production reaction) and the
     convection ``C`` define the residual F(c) = base c + C T(c) - b0 and the
-    Jacobian base + C diag(theta).  Both are also kept as values
-    ``base_P``, ``C_P`` on ``pattern``, the sorted union P of their
-    patterns, with the column ``cols`` of every entry, so that each
-    Jacobian is base_P + C_P * theta[cols] on the one pattern P.  With
-    ``dirichlet_dofs``, ``free_block`` maps P to its free block.
+    Jacobian base + C diag(theta).  Both are CSR matrices on one pattern P,
+    the sorted union of their own, and share its ``indices`` and ``indptr``,
+    so that each Jacobian is formed from their values alone.  Each step
+    prescribes values on ``dirichlet_dofs``, if given, and ``free_block``
+    maps P to its free block.  ``cache`` holds the LU of the Jacobians and
+    lives as long as the operator.
     """
 
     def __init__(self, gd, U, dt, dsrc, params, variant, dirichlet_dofs=None):
+        if dirichlet_dofs is not None and len(dirichlet_dofs) == 0:
+            raise ConfigError("empty Dirichlet dof set")
         self.dt = dt
         self.mass = params.phi * gd.recon_measures
         base = sp.diags(self.mass / dt) + diffusion_matrix(gd, U, params,
                                                            variant)
         if dsrc.production_in_transport and np.any(dsrc.q_production):
             base = base + sp.diags(dsrc.q_production)
-        self.base = base.tocsr()
-        self.C = convection_matrix(gd, U, variant)
+        base, C = base.tocsr(), convection_matrix(gd, U, variant)
+        base.sort_indices()
+        C.sort_indices()
         self.q_injection = dsrc.q_injection
 
         # tag the entries of base with 1 and those of C with 2: on sorted
         # rows their sum is P, and its tags tell whose entries P holds
         n = gd.ndof
-        base_s, C_s = self.base.sorted_indices(), self.C.sorted_indices()
-        P = (sp.csr_matrix((np.ones(base_s.nnz), base_s.indices,
-                            base_s.indptr), shape=(n, n))
-             + sp.csr_matrix((np.full(C_s.nnz, 2.0), C_s.indices,
-                              C_s.indptr), shape=(n, n)))
-        self.base_P = np.zeros(P.nnz)
-        self.base_P[P.data != 2.0] = base_s.data
-        self.C_P = np.zeros(P.nnz)
-        self.C_P[P.data != 1.0] = C_s.data
-        self.pattern = P
+        P = (sp.csr_matrix((np.ones(base.nnz), base.indices, base.indptr),
+                           shape=(n, n))
+             + sp.csr_matrix((np.full(C.nnz, 2.0), C.indices, C.indptr),
+                             shape=(n, n)))
+        self.base, self.C = (sp.csr_matrix((np.zeros(P.nnz), P.indices,
+                                            P.indptr), shape=(n, n))
+                             for _ in range(2))
+        self.base.data[P.data != 2.0] = base.data
+        self.C.data[P.data != 1.0] = C.data
+        # the column of every entry of P: intp indexes theta twice as fast
         self.cols = P.indices.astype(np.intp)
 
         self.free = np.ones(n, dtype=bool)
@@ -236,62 +223,62 @@ class TransportOperator:
         self.free_block = None
         if dirichlet_dofs is not None:
             self.free[dirichlet_dofs] = False
-            self.free_block = free_block_map(self.pattern,
+            self.free_block = free_block_map(self.base,
                                              np.flatnonzero(self.free))
+        self.cache = linalg.FactorizationCache()
 
     def jacobian(self, theta):
-        """base + C diag(theta) on P, as base_P + C_P * theta[cols]; with
-        Dirichlet dofs, its free block."""
-        P = self.pattern
-        J = sp.csr_matrix((self.base_P + self.C_P * theta[self.cols],
-                           P.indices, P.indptr), shape=P.shape)
+        """base + C diag(theta) on P; with Dirichlet dofs, its free
+        block."""
+        base = self.base
+        J = sp.csr_matrix((base.data + self.C.data * theta[self.cols],
+                           base.indices, base.indptr), shape=base.shape)
         if self.free_block is not None:
             J = eliminate_dirichlet(J, self.free_block)
         return J
 
 
-def transport_step(op, c_prev, dirichlet=None, cache=None):
+def transport_step(op, c_prev, dirichlet=None):
     """One implicit transport step on the ``TransportOperator`` op.
 
     The truncation nonlinearity is resolved by a semismooth Newton
     ("Picard") iteration on the free rows of F(c) = base c + C T(c) - b0.
     At the iterate z, J = base + C diag(theta) with theta = 1 where z lies
     in [0, 1] and 0 elsewhere, and the correction solves
-    J_ff delta_f = F(z)_f; delta is zero on the Dirichlet dofs, which z
-    already holds.  An Armijo line search globalises c = z - lam delta:
-    unless the full step passes the convergence test, lam = 1 is halved
-    (down to MIN_STEP) while ||F(c)|| > (1 - ARMIJO_DECREASE lam) ||F(z)||.
-    ``dirichlet`` gives the values on the operator's Dirichlet dofs.
+    J_ff delta_f = F(z)_f with the LU kept by ``op.cache``; delta is zero
+    on the Dirichlet dofs, which z already holds.  An Armijo line search
+    globalises c = z - lam delta: unless the full step passes the
+    convergence test, lam = 1 is halved (down to MIN_STEP) while
+    ||F(c)|| > (1 - ARMIJO_DECREASE lam) ||F(z)||.  ``dirichlet`` is the
+    array of values on the operator's Dirichlet dofs, in their order.
 
     Returns (c_next, info) with the iteration count, the number of step
     halvings and the accepted residual; raises PicardError with the
     residual history after PICARD_MAX_ITER iterations.
     """
-    if (dirichlet is None) != (op.dirichlet_dofs is None) or (
-            dirichlet is not None
-            and not np.array_equal(dirichlet.dofs, op.dirichlet_dofs)):
-        raise ConfigError("Dirichlet dofs differ from those of the "
-                          "transport operator")
+    dofs = op.dirichlet_dofs
+    if (dirichlet is None) != (dofs is None) \
+            or np.shape(dirichlet) != np.shape(dofs):
+        raise ConfigError("Dirichlet values do not fit the Dirichlet dofs "
+                          "of the transport operator")
     base, C, free = op.base, op.C, op.free
     b0 = op.mass * c_prev / op.dt + op.q_injection
     z = c_prev.copy()
-    if dirichlet is not None:
-        z[dirichlet.dofs] = dirichlet.values
+    if dofs is not None:
+        z[dofs] = dirichlet
     scale = max(float(np.linalg.norm(b0)), 1e-30)
 
     def residual(c):
         F = (base @ c + C @ truncate(c) - b0)[free]
         return F, float(np.linalg.norm(F))
 
-    if cache is None:
-        cache = linalg.FactorizationCache()
     F, res_z = residual(z)
     history = []
     backtracks = 0
     for it in range(1, PICARD_MAX_ITER + 1):
         theta = ((z >= 0.0) & (z <= 1.0)).astype(float)
         delta = np.zeros(len(z))
-        delta[free] = cache.solve(op.jacobian(theta), F)
+        delta[free] = op.cache.solve(op.jacobian(theta), F)
         c, lam = z - delta, 1.0
         F, res = residual(c)
         converged = (res <= PICARD_TOL * scale

@@ -195,8 +195,10 @@ def validate_vtk(path):
     idx += n_points + 1
     fields = find("CELLS")
     n_cells, size = int(fields[1]), int(fields[2])
-    counted = sum(int(lines[idx + 1 + k].split()[0]) + 1
-                  for k in range(n_cells))
+    records = lines[idx + 1:idx + 1 + n_cells]
+    if len(records) < n_cells or any(not r.strip() for r in records):
+        raise ValueError(f"{path}: truncated CELLS records")
+    counted = sum(int(r.split()[0]) + 1 for r in records)
     if counted != size:
         raise ValueError(f"{path}: CELLS size {size} != records {counted}")
     idx += n_cells + 1

@@ -7,11 +7,12 @@ of right-hand sides.  Given m, it solves the zero-mean elliptic system
 (A + m m^T) x = b, where A annihilates constants: the last dof is pinned,
 A x0 = b - s m is solved with s = sum(b) / sum(m), and a constant shift
 gives m^T x = s, which holds for every exact solution.
-``FactorizationCache`` solves the transport systems of a run with few
-factorisations: a matrix that differs from the last factored one A0 in at
-most MAX_UPDATE_RANK columns is solved by a Sherman-Morrison-Woodbury
-update of the LU of A0, and only a larger change is factored.  The update
-columns take at most MAX_UPDATE_RANK * n doubles.
+``FactorizationCache`` solves a sequence of transport systems with few
+factorisations: a matrix on the pattern of the last factored one A0 that
+differs from it in at most MAX_UPDATE_RANK columns is solved by a
+Sherman-Morrison-Woodbury update of the LU of A0; a larger change, or a
+matrix on another pattern, is factored.  The update columns take at most
+MAX_UPDATE_RANK * n doubles.
 """
 
 import numpy as np
@@ -121,19 +122,19 @@ def solve_general(A, b):
 
 
 class FactorizationCache:
-    """Solves the transport systems of a run with few LU factorisations.
+    """Solves a sequence of transport systems with few LU factorisations.
 
     Keeps a reference matrix A0, as its own copy so that a caller may change
-    a matrix in place, and its LU.  A new A of the same shape, whose
-    D = A - A0 changes the columns S (read from the values alone when A has
-    the pattern of A0), is solved
+    a matrix in place, and its LU.  A new A on the pattern of A0 (the same
+    shape, ``indptr`` and ``indices``), whose D = A - A0 changes the columns
+    S (read from the values), is solved
     - with the LU of A0 when S is empty;
     - as x = y - Z_S (I + Z_S[S, :])^-1 y[S], y = A0^-1 b, Z_j = A0^-1 D_j
       (Sherman-Morrison-Woodbury) when |S| <= MAX_UPDATE_RANK.  Each Z_j
       is kept while D_j stays exactly equal, until A0 is replaced, in at
       most MAX_UPDATE_RANK * n doubles;
-    - otherwise, or when the kept Z_j would exceed MAX_UPDATE_RANK, by
-      factoring A, which becomes A0.
+    - otherwise, when the kept Z_j would exceed MAX_UPDATE_RANK, or when A
+      has another pattern, by factoring A, which becomes A0.
     Every solve rejects a non-finite b and checks the residual against A.
     An update that misses RESIDUAL_TOL, or whose capacitance matrix is
     singular, is redone by factoring A; SolverError follows if that misses
@@ -155,52 +156,29 @@ class FactorizationCache:
         self._Z = np.zeros((MAX_UPDATE_RANK, A.shape[0]))
         self.factorizations += 1
 
-    def _difference(self, A):
-        """The columns S in which A differs from A0, each with the rows and
-        values of D_j = A_j - A0_j in ascending row order; None when more
-        than MAX_UPDATE_RANK columns changed or a change is not finite."""
-        A0 = self._A
-        if np.array_equal(A.indptr, A0.indptr) \
-                and np.array_equal(A.indices, A0.indices):
-            # one pattern: compare the values, form D only where they differ
-            at = np.flatnonzero(A.data != A0.data)
-            changed = np.zeros(A.shape[1], dtype=bool)
-            changed[A.indices[at]] = True
-            S = np.flatnonzero(changed)
-            if len(S) > MAX_UPDATE_RANK:
-                return None
-            at = at[np.argsort(A.indices[at], kind="stable")]
-            cols = A.indices[at]
-            rows = np.searchsorted(A.indptr, at, side="right") - 1
-            values = A.data[at] - A0.data[at]
-            starts = np.searchsorted(cols, S)
-            ends = np.searchsorted(cols, S, side="right")
-        else:
-            D = A - A0
-            D.eliminate_zeros()
-            S = np.flatnonzero(np.bincount(D.indices, minlength=A.shape[1]))
-            if len(S) > MAX_UPDATE_RANK:
-                return None
-            D = D.tocsc()
-            rows, values = D.indices, D.data
-            starts, ends = D.indptr[S], D.indptr[S + 1]
-        if not np.all(np.isfinite(values)):
-            return None
-        return S, [(rows[i:j], values[i:j]) for i, j in zip(starts, ends)]
-
     def _update(self, A):
         """The columns S in which A differs from A0 and the rows of their
         Z_j in ``_Z``, computing the Z_j not yet kept; None when A must be
         factored instead."""
-        if self._A is None or A.shape != self._A.shape:
+        A0 = self._A
+        if A0 is None or A.shape != A0.shape \
+                or not np.array_equal(A.indptr, A0.indptr) \
+                or not np.array_equal(A.indices, A0.indices):
             return None
-        diff = self._difference(A)
-        if diff is None:
+        # one pattern: compare the values, form D only where they differ
+        at = np.flatnonzero(A.data != A0.data)
+        S = np.unique(A.indices[at])
+        if len(S) > MAX_UPDATE_RANK or len(self._cols) + sum(
+                j not in self._cols for j in S) > MAX_UPDATE_RANK:
             return None
-        S, parts = diff
-        if len(self._cols) + sum(j not in self._cols for j in S) \
-                > MAX_UPDATE_RANK:
+        at = at[np.argsort(A.indices[at], kind="stable")]
+        values = A.data[at] - A0.data[at]
+        if not np.all(np.isfinite(values)):
             return None
+        # the rows and values of each D_j, in ascending row order
+        split = np.searchsorted(A.indices[at], S[1:])
+        parts = zip(np.split(np.searchsorted(A.indptr, at, side="right") - 1,
+                             split), np.split(values, split))
         rows = np.empty(len(S), dtype=int)
         for k, (j, (idx, val)) in enumerate(zip(S, parts)):
             key = (idx.tobytes(), val.tobytes())

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import assembly, linalg
-from .assembly import ConfigError, DirichletBC, discretize_sources
+from .assembly import ConfigError, discretize_sources
 from .gd import scheme_a, scheme_b
 from .mesh import build_cartesian, build_dual, build_structured_triangulation, \
     load_mesh
@@ -146,10 +146,11 @@ class Problem:
     dirichlet_dofs: np.ndarray = None  # concentration constraints
 
     def dirichlet_at(self, t):
+        """The exact concentration at time t on the Dirichlet dofs."""
         if self.dirichlet_dofs is None:
             return None
-        vals = self.exact.concentration(self.gd.anchors[self.dirichlet_dofs], t)
-        return DirichletBC(dofs=self.dirichlet_dofs, values=np.atleast_1d(vals))
+        return np.atleast_1d(self.exact.concentration(
+            self.gd.anchors[self.dirichlet_dofs], t))
 
 
 def _radial_dirichlet_dofs(gd):
@@ -203,34 +204,25 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
     c = np.zeros(gd.ndof) if c0 is None else gd.interpolate(c0)
 
     constant_mobility = problem.mobility.M == 1.0
-    cached_pressure = operator = None
-    transport_cache = linalg.FactorizationCache()
+    operator = None
     diagnostics = []
     start = time.perf_counter()
-    p = np.zeros(gd.ndof)
-    U = np.zeros((gd.n_grad_cells, 2))
     neumann = problem.dirichlet_dofs is None
 
     for n in range(config.n_steps):
         t_next = (n + 1) * config.dt
         try:
-            if cached_pressure is None:
-                operator = None  # free it before the next one is built
+            if operator is None or not constant_mobility:
+                operator = None  # free it and its LU before the next solve
                 p, U, p_info = assembly.solve_pressure(
                     gd, c, problem.mobility, problem.dsrc)
-                if constant_mobility:
-                    cached_pressure = (p, U, p_info)
-            else:
-                p, U, p_info = cached_pressure
-            if operator is None:
                 operator = assembly.TransportOperator(
                     gd, U, config.dt, problem.dsrc, problem.params,
                     config.variant, problem.dirichlet_dofs)
             c_prev = c
-            factored = transport_cache.factorizations
+            factored = operator.cache.factorizations
             c, t_info = assembly.transport_step(
-                operator, c_prev, dirichlet=problem.dirichlet_at(t_next),
-                cache=transport_cache)
+                operator, c_prev, dirichlet=problem.dirichlet_at(t_next))
         except (linalg.SolverError, assembly.PicardError) as exc:
             exc.args = (f"step {n + 1} (t={t_next:g}): {exc.args[0]}",) \
                 + exc.args[1:]
@@ -244,7 +236,7 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
             "picard_residual": t_info["picard_residual"],
             "picard_relative": t_info["picard_relative"],
             "backtracks": t_info["backtracks"],
-            "factorizations": transport_cache.factorizations - factored,
+            "factorizations": operator.cache.factorizations - factored,
             "cmin": float(c.min()),
             "cmax": float(c.max()),
             "mass_residual": (assembly.mass_balance_residual(

@@ -159,6 +159,20 @@ class TestVtk:
         with pytest.raises(ValueError):
             validate_vtk(path)
 
+    @pytest.mark.parametrize("cut", [
+        lambda lines, at: lines[:at + 4],
+        lambda lines, at: lines[:at + 2] + [""] + lines[at + 3:],
+    ], ids=["after_three_records", "blank_record"])
+    def test_validator_rejects_truncated_cells(self, tmp_path, cut):
+        gd = scheme_a(build_cartesian(3, 1.0))
+        path = tmp_path / "c.vtk"
+        write_vtk(gd, {"c": np.ones(gd.ndof)}, path)
+        lines = path.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("CELLS"))
+        path.write_text("\n".join(cut(lines, at)) + "\n")
+        with pytest.raises(ValueError, match="truncated CELLS records"):
+            validate_vtk(path)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t.replace("CELL_TYPES", "CELLTYPES"),
          "missing 'CELL_TYPES' section"),

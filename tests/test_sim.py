@@ -217,6 +217,25 @@ class TestTransportOperatorReuse:
                                0, 1, 0, 0, 0],
         }
 
+    def test_operators_do_not_share_a_factorization(self):
+        # two operators of one velocity: each solves with its own LU, so
+        # the first step on the second one factors once more
+        problem = build_problem(RunConfig(test="analytic1", scheme="a", n=4,
+                                          dt=0.1))
+        gd = problem.gd
+        c0 = np.zeros(gd.ndof)
+        _, U, _ = assembly.solve_pressure(gd, c0, problem.mobility,
+                                          problem.dsrc)
+        ops = [assembly.TransportOperator(gd, U, 0.1, problem.dsrc,
+                                          problem.params, "centred",
+                                          problem.dirichlet_dofs)
+               for _ in range(2)]
+        steps = [assembly.transport_step(op, c0,
+                                         dirichlet=problem.dirichlet_at(0.1))
+                 for op in ops]
+        assert [op.cache.factorizations for op in ops] == [1, 1]
+        assert np.array_equal(steps[0][0], steps[1][0])
+
 
 class TestPicardIteration:
     def test_line_search_bounds_iterations(self):
@@ -246,12 +265,12 @@ class TestPicardIteration:
         return (op, c0), problem.dirichlet_at(0.1)
 
     def test_picard_error_keeps_history(self, monkeypatch):
-        args, bc = self.first_step()
-        _, info = assembly.transport_step(*args, dirichlet=bc)
+        args, values = self.first_step()
+        _, info = assembly.transport_step(*args, dirichlet=values)
         assert info["picard_iters"] >= 2
         monkeypatch.setattr(assembly, "PICARD_MAX_ITER", 1)
         with pytest.raises(assembly.PicardError) as exc:
-            assembly.transport_step(*args, dirichlet=bc)
+            assembly.transport_step(*args, dirichlet=values)
         assert len(exc.value.history) == 1
 
     def test_step_floor_ends_backtracking(self, monkeypatch):
@@ -260,9 +279,9 @@ class TestPicardIteration:
         monkeypatch.setattr(assembly, "ARMIJO_DECREASE",
                             2.0 / assembly.MIN_STEP)
         monkeypatch.setattr(assembly, "PICARD_MAX_ITER", 3)
-        args, bc = self.first_step()
+        args, values = self.first_step()
         with pytest.raises(assembly.PicardError) as exc:
-            assembly.transport_step(*args, dirichlet=bc)
+            assembly.transport_step(*args, dirichlet=values)
         history = exc.value.history
         assert len(history) == 3
         assert history[0] > history[1] > history[2]
