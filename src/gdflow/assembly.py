@@ -122,28 +122,37 @@ def diffusion_matrix(gd, U, params, variant):
     return gd.grad_gram(D11, D22, D12)
 
 
-def artificial_diffusion(C):
-    """Symmetric graph-Laplacian upwinding operator for a convection matrix:
-    off-diagonal removals d_ij = max(0, c_ij, c_ji), zero row sums."""
-    S = C.maximum(C.T).tocsr()
-    S = S - sp.diags(S.diagonal())
-    S.data = np.maximum(S.data, 0.0)
-    S.eliminate_zeros()
-    row_sums = np.asarray(S.sum(axis=1)).ravel()
-    return (sp.diags(row_sums) - S).tocsr()
+def artificial_diffusion(C, transpose=None):
+    """Symmetric graph-Laplacian upwinding operator for a convection matrix
+    C whose pattern is symmetric, with sorted rows and the diagonal:
+    off-diagonal removals d_ij = max(0, c_ij, c_ji), zero row sums, on the
+    pattern of C.  ``transpose`` gives the position of the mirror of every
+    entry (``AssemblyPattern.transpose``), found by sorting otherwise."""
+    if transpose is None:
+        transpose = np.argsort(C.indices, kind="stable")
+    n = C.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(C.indptr))
+    diag = rows == C.indices
+    d = np.maximum(np.maximum(C.data, C.data[transpose]), 0.0)
+    d[diag] = 0.0
+    data = -d
+    data[diag] = np.bincount(rows, d, n)[rows[diag]]
+    return sp.csr_matrix((data, C.indices, C.indptr), shape=C.shape)
 
 
 def convection_matrix(gd, U, variant):
-    """Matrix C with (C w)_i = -int T-free transport of w against U.grad(phi_i);
-    the truncation is applied to the argument before multiplying."""
+    """Matrix C with (C w)_i = -int T-free transport of w against U.grad(phi_i),
+    on ``gd.pattern()``; the truncation is applied to the argument before
+    multiplying."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown convection variant {variant!r}")
+    gx, gy, overlap = gd.local_rows("grad_x", "grad_y", "overlap")
     mg = gd.grad_measures
-    C = -(gd.grad_x.T @ sp.diags(mg * U[:, 0])
-          + gd.grad_y.T @ sp.diags(mg * U[:, 1])) @ gd.overlap
-    C = C.tocsr()
+    flux = gx * (mg * U[:, 0]) + gy * (mg * U[:, 1])
+    P = gd.pattern()
+    C = P.assemble([(flux, np.full(len(mg), -1.0), overlap)])
     if variant == "upstream":
-        C = (C + artificial_diffusion(C)).tocsr()
+        C.data += artificial_diffusion(C, P.transpose).data
     return C
 
 
@@ -151,7 +160,8 @@ def free_block_map(A, free_idx):
     """The gather map from the entries of A, a CSR matrix with sorted rows,
     to its free block A[free, free]: the positions of the kept entries in
     A.data, and the block as a CSR template with sorted rows whose data is
-    filled by ``eliminate_dirichlet``."""
+    filled by ``eliminate_dirichlet``.  Its arrays are read-only, as every
+    block shares them."""
     n = A.shape[0]
     new = np.full(n, -1)
     new[free_idx] = np.arange(len(free_idx))
@@ -160,8 +170,11 @@ def free_block_map(A, free_idx):
     gather = np.flatnonzero((rows >= 0) & (cols >= 0))
     m = len(free_idx)
     indptr = np.searchsorted(rows[gather], np.arange(m + 1))
-    return gather, sp.csr_matrix((A.data[gather], cols[gather], indptr),
-                                 shape=(m, m))
+    block = sp.csr_matrix((A.data[gather], cols[gather], indptr),
+                          shape=(m, m))
+    for a in (gather, block.indices, block.indptr):
+        a.flags.writeable = False
+    return gather, block
 
 
 def eliminate_dirichlet(A, free_block):
@@ -181,12 +194,13 @@ class TransportOperator:
 
     ``base`` = mass / dt + diffusion (+ the production reaction) and the
     convection ``C`` define the residual F(c) = base c + C T(c) - b0 and the
-    Jacobian base + C diag(theta).  Both are CSR matrices on one pattern P,
-    the sorted union of their own, and share its ``indices`` and ``indptr``,
-    so that each Jacobian is formed from their values alone.  Each step
-    prescribes values on ``dirichlet_dofs``, if given, and ``free_block``
-    maps P to its free block.  ``cache`` holds the LU of the Jacobians and
-    lives as long as the operator.
+    Jacobian base + C diag(theta).  Both are CSR matrices on the assembly
+    pattern P of the diffusion, which holds the convection's, and share
+    its index arrays, so that each Jacobian is formed from their values
+    alone.  Each step prescribes values on ``dirichlet_dofs``, if given,
+    and ``free_block``, kept by P per Dirichlet set, maps P to its free
+    block.  ``cache`` holds the LU of the Jacobians and lives as long as
+    the operator.
     """
 
     def __init__(self, gd, U, dt, dsrc, params, variant, dirichlet_dofs=None):
@@ -194,37 +208,35 @@ class TransportOperator:
             raise ConfigError("empty Dirichlet dof set")
         self.dt = dt
         self.mass = params.phi * gd.recon_measures
-        base = sp.diags(self.mass / dt) + diffusion_matrix(gd, U, params,
-                                                           variant)
+        D = diffusion_matrix(gd, U, params, variant)
+        C = convection_matrix(gd, U, variant)
+        # C lies on gd.pattern(); D on that or, with D12, on the cross one
+        P = gd.pattern(D.nnz != C.nnz)
+        if C.nnz != P.nnz:
+            plain = gd.pattern()
+            inside = plain.pos < plain.nnz
+            data = np.zeros(P.nnz)
+            data[P.pos[inside]] = C.data[plain.pos[inside]]
+            C = P.matrix(data)
+        base = D.data
+        base[P.diag] += self.mass / dt
         if dsrc.production_in_transport and np.any(dsrc.q_production):
-            base = base + sp.diags(dsrc.q_production)
-        base, C = base.tocsr(), convection_matrix(gd, U, variant)
-        base.sort_indices()
-        C.sort_indices()
+            base[P.diag] += dsrc.q_production
+        self.base, self.C = P.matrix(base), C
         self.q_injection = dsrc.q_injection
-
-        # tag the entries of base with 1 and those of C with 2: on sorted
-        # rows their sum is P, and its tags tell whose entries P holds
-        n = gd.ndof
-        P = (sp.csr_matrix((np.ones(base.nnz), base.indices, base.indptr),
-                           shape=(n, n))
-             + sp.csr_matrix((np.full(C.nnz, 2.0), C.indices, C.indptr),
-                             shape=(n, n)))
-        self.base, self.C = (sp.csr_matrix((np.zeros(P.nnz), P.indices,
-                                            P.indptr), shape=(n, n))
-                             for _ in range(2))
-        self.base.data[P.data != 2.0] = base.data
-        self.C.data[P.data != 1.0] = C.data
         # the column of every entry of P: intp indexes theta twice as fast
         self.cols = P.indices.astype(np.intp)
 
-        self.free = np.ones(n, dtype=bool)
+        self.free = np.ones(gd.ndof, dtype=bool)
         self.dirichlet_dofs = dirichlet_dofs
         self.free_block = None
         if dirichlet_dofs is not None:
             self.free[dirichlet_dofs] = False
-            self.free_block = free_block_map(self.base,
-                                             np.flatnonzero(self.free))
+            key = np.asarray(dirichlet_dofs).tobytes()
+            if key not in P.free_blocks:
+                P.free_blocks[key] = free_block_map(
+                    self.base, np.flatnonzero(self.free))
+            self.free_block = P.free_blocks[key]
         self.cache = linalg.FactorizationCache()
 
     def jacobian(self, theta):

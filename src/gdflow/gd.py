@@ -5,6 +5,7 @@ instantiations (node-centred finite differences, mass-lumped P1).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,14 +75,151 @@ class GradientDiscretisation:
     def grad_gram(self, a11=1.0, a22=1.0, a12=None):
         """Stiffness sum_g |g| (A_g grad phi_j) . grad phi_i of the symmetric
         tensor field A = [[a11, a12], [a12, a22]], constant or one value per
-        gradient cell; the defaults give the Gram matrix of the gradients."""
+        gradient cell; the defaults give the Gram matrix of the gradients.
+        It lies on ``pattern(cross)``, cross telling whether a12 is nonzero
+        anywhere, and entries that cancel stay stored as zeros; the values
+        are rounded as by the sparse products grad^T diag(|g| a) grad."""
+        gx, gy = self.local_rows("grad_x", "grad_y")
         mg = self.grad_measures
-        gx, gy = self.grad_x, self.grad_y
-        K = gx.T @ sp.diags(mg * a11) @ gx + gy.T @ sp.diags(mg * a22) @ gy
-        if a12 is not None and np.any(a12):
-            m12 = sp.diags(mg * a12)
-            K = K + gx.T @ m12 @ gy + gy.T @ m12 @ gx
-        return K.tocsr()
+        terms = [(gx, mg * a11, gx), (gy, mg * a22, gy)]
+        cross = a12 is not None and bool(np.any(a12))
+        if cross:
+            terms += [(gx, mg * a12, gy), (gy, mg * a12, gx)]
+        return self.pattern(cross).assemble(terms)
+
+    def local_rows(self, *names):
+        """The rows of the named operators among grad_x, grad_y and overlap
+        on the k local dofs of each gradient cell, as (k, ngrad) arrays; the
+        cell axis is last, so that array operations run along it."""
+        shape, at = self._local
+        rows = [np.zeros(shape) for _ in names]
+        for row, name in zip(rows, names):
+            row.ravel()[at[name]] = getattr(self, name).data
+        return rows
+
+    @cached_property
+    def _local(self):
+        """((k, ngrad), at): the k local dofs of a gradient cell are the
+        columns of its grad_x, grad_y and overlap rows, in order, and
+        at[name] holds the flat (k, ngrad) positions of that operator's
+        entries."""
+        ng, n = self.n_grad_cells, self.ndof
+        keys = {name: np.repeat(np.arange(ng), np.diff(A.indptr)) * n
+                + A.indices for name, A in self._operators()}
+        union = np.unique(np.concatenate(list(keys.values())))
+        k = len(union) // ng
+        if not np.array_equal(union // n, np.repeat(np.arange(ng), k)):
+            raise ValueError("gradient cells of unequal local dof counts")
+        at = {name: np.searchsorted(union, key) for name, key in keys.items()}
+        at = {name: (a % k * ng + a // k).astype(np.int32)
+              for name, a in at.items()}
+        _read_only(*at.values())
+        return (k, ng), at
+
+    def _operators(self):
+        return [(name, getattr(self, name))
+                for name in ("grad_x", "grad_y", "overlap")]
+
+    def pattern(self, cross=False):
+        """The ``AssemblyPattern`` of this discretisation, built on first
+        use.  Without ``cross`` it leaves out the pairs that only grad_x (x)
+        grad_y couples, so an isotropic stiffness keeps its stencil
+        (5-point on scheme a); the convection lies in both."""
+        patterns = self.__dict__.setdefault("_patterns", {})
+        if cross not in patterns:
+            shape, at = self._local
+            sx, sy, so = (np.bincount(at[name], minlength=np.prod(shape))
+                          .reshape(shape) > 0 for name, _ in self._operators())
+            g = sx | sy
+            plain = (sx[:, None] & sx) | (sy[:, None] & sy) \
+                | (g[:, None] & so) | (so[:, None] & g)
+            full = plain | (g[:, None] & g)
+            patterns[cross] = self.pattern() if cross and np.array_equal(
+                plain, full) else _build_pattern(self, full if cross else plain)
+        return patterns[cross]
+
+
+@dataclass(frozen=True)
+class AssemblyPattern:
+    """The sorted, symmetric CSR pattern P of the matrices assembled on a
+    gradient discretisation, sums over the gradient cells g of k x k blocks
+    on the local dofs of g.  ``pos[g, i, j]`` is the position in P of the
+    local entry (i, j), or nnz for a pair that P leaves out; ``diag`` and
+    ``transpose`` give the position of every diagonal entry and of every
+    entry's mirror, and ``free_blocks`` the free-block maps of Dirichlet
+    dof sets.  The arrays are read-only: every matrix on P shares them."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    pos: np.ndarray
+    diag: np.ndarray
+    transpose: np.ndarray
+    free_blocks: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def nnz(self):
+        return len(self.indices)
+
+    def matrix(self, data):
+        n = len(self.indptr) - 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def assemble(self, terms):
+        """The matrix on P that sums the ``terms`` (u, w, v) in order: the
+        local blocks (u_ig w_g) v_jg of the (k, ngrad) rows u, v and the
+        cell weights w, each summed over the cells in ascending order, so
+        rounded as the sparse product u^T diag(w) v.  The cells go in
+        chunks, which keeps the temporaries small."""
+        total = np.zeros(self.nnz + 1)
+        data = np.empty_like(total)
+        buffer = np.empty(self.pos[:_CHUNK].shape)
+        for u, w, v in terms:
+            data[:] = 0.0
+            for start in range(0, len(self.pos), _CHUNK):
+                c = slice(start, start + _CHUNK)
+                block = buffer[:len(self.pos[c])]  # cell-major, as pos
+                np.multiply(u[:, None, c] * w[c], v[None, :, c],
+                            out=block.transpose(1, 2, 0))
+                np.add.at(data, self.pos[c].ravel(), block.ravel())
+            total += data
+        return self.matrix(total[:-1])
+
+
+# gradient cells per chunk of AssemblyPattern.assemble
+_CHUNK = 8192
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _build_pattern(gd, mask):
+    """The ``AssemblyPattern`` of the local pairs (i, j, g) where ``mask``,
+    built pair by pair to keep the temporaries small; every dof lies in
+    some gradient cell, so P holds the diagonal."""
+    n, (shape, at) = gd.ndof, gd._local
+    dofs = np.empty(shape, dtype=np.int64)
+    for name, A in gd._operators():
+        np.put(dofs, at[name], A.indices)
+    pairs = [(i, j, mask[i, j]) for i in range(shape[0])
+             for j in range(shape[0])]
+    P = sp.csr_matrix((n, n))
+    for i, j, m in pairs:  # sums of ones: no entry cancels
+        P = P + sp.csr_matrix((np.ones(m.sum()), (dofs[i, m], dofs[j, m])),
+                              shape=(n, n))
+    keys = np.repeat(np.arange(n), np.diff(P.indptr)) * n + P.indices
+    pos = np.full(mask.shape, P.nnz, dtype=np.int32)
+    for i, j, m in pairs:
+        pos[i, j, m] = np.searchsorted(keys, dofs[i, m] * n + dofs[j, m])
+    pos = pos.transpose(2, 0, 1).copy()  # cell-major, as assemble sums
+    # on a symmetric pattern with sorted rows, the entries in column order
+    # are the mirrors of the entries in row order
+    return AssemblyPattern(*_read_only(
+        P.indptr.astype(np.int32), P.indices.astype(np.int32), pos,
+        np.searchsorted(keys, np.arange(n) * (n + 1)).astype(np.int32),
+        np.argsort(P.indices, kind="stable").astype(np.int32)))
 
 
 def _gauss4(x0, x1, y0, y1, cells):

@@ -3,6 +3,8 @@
 import argparse
 import csv
 import sys
+from collections import deque
+from itertools import islice
 from dataclasses import fields
 from pathlib import Path
 
@@ -178,50 +180,57 @@ def write_vtk(gd, scalar_fields, path, velocity=None):
 
 
 def validate_vtk(path):
-    """Self-consistency check: declared counts match the record counts."""
+    """Self-consistency check: declared counts match the record counts.
+    The file is read as a stream, one line at a time."""
     with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    idx = 0
+        def header(prefix, what):
+            """The counts of the next line that starts with ``prefix``."""
+            for line in f:
+                if line.startswith(prefix):
+                    fields = line.split()[1:1 + len(what)]
+                    if len(fields) < len(what):
+                        missing = " and ".join(what[len(fields):])
+                        raise ValueError(f"{path}: {prefix} header lacks "
+                                         f"its {missing}")
+                    return [int(v) for v in fields]
+            raise ValueError(f"{path}: missing {prefix!r} section")
 
-    def find(prefix):
-        nonlocal idx
-        while idx < len(lines):
-            if lines[idx].startswith(prefix):
-                return lines[idx].split()
-            idx += 1
-        raise ValueError(f"{path}: missing {prefix!r} section")
+        def records(n, valid, section):
+            """Check the next n lines with ``valid``; yield each."""
+            got = 0
+            for line in islice(f, n):
+                if not valid(line):
+                    break
+                got += 1
+                yield line
+            if got < n:
+                raise ValueError(f"{path}: truncated {section}")
 
-    n_points = int(find("POINTS")[1])
-    idx += n_points + 1
-    fields = find("CELLS")
-    n_cells, size = int(fields[1]), int(fields[2])
-    records = lines[idx + 1:idx + 1 + n_cells]
-    if len(records) < n_cells or any(not r.strip() for r in records):
-        raise ValueError(f"{path}: truncated CELLS records")
-    counted = sum(int(r.split()[0]) + 1 for r in records)
-    if counted != size:
-        raise ValueError(f"{path}: CELLS size {size} != records {counted}")
-    idx += n_cells + 1
-    if int(find("CELL_TYPES")[1]) != n_cells:
-        raise ValueError(f"{path}: CELL_TYPES count mismatch")
-    idx += n_cells + 1
-    if int(find("CELL_DATA")[1]) != n_cells:
-        raise ValueError(f"{path}: CELL_DATA count mismatch")
-    while idx < len(lines):
-        if lines[idx].startswith("SCALARS"):
-            idx += 2
-            vals = lines[idx:idx + n_cells]
-            if len(vals) < n_cells or any(not v.strip() for v in vals):
-                raise ValueError(f"{path}: truncated SCALARS array")
-            idx += n_cells
-        elif lines[idx].startswith("VECTORS"):
-            idx += 1
-            vals = lines[idx:idx + n_cells]
-            if len(vals) < n_cells or any(len(v.split()) != 3 for v in vals):
-                raise ValueError(f"{path}: truncated VECTORS array")
-            idx += n_cells
-        else:
-            idx += 1
+        def skip(n):
+            deque(islice(f, n), maxlen=0)
+
+        n_points, = header("POINTS", ["count"])
+        skip(n_points)
+        n_cells, size = header("CELLS", ["count", "size"])
+        counted = sum(int(r.split()[0]) + 1 for r in records(
+            n_cells, str.strip, "CELLS records"))
+        if counted != size:
+            raise ValueError(f"{path}: CELLS size {size} != records {counted}")
+        if header("CELL_TYPES", ["count"])[0] != n_cells:
+            raise ValueError(f"{path}: CELL_TYPES count mismatch")
+        skip(n_cells)
+        if header("CELL_DATA", ["count"])[0] != n_cells:
+            raise ValueError(f"{path}: CELL_DATA count mismatch")
+        for line in f:
+            if line.startswith("SCALARS"):
+                skip(1)  # LOOKUP_TABLE
+                values = records(n_cells, str.strip, "SCALARS array")
+            elif line.startswith("VECTORS"):
+                values = records(n_cells, lambda v: len(v.split()) == 3,
+                                 "VECTORS array")
+            else:
+                continue
+            deque(values, maxlen=0)
     return True
 
 

@@ -76,13 +76,17 @@ def _checked(A, x, b, bnorm, rank_one=None):
 
 
 def spd_solver(A, rank_one=None):
-    """Factor A once; return ``solve(b)`` for (A + m m^T) x = b.
+    """Factor the nonzeros of A once; return ``solve(b)`` for
+    (A + m m^T) x = b.
 
     ``rank_one`` is the optional vector m; A must then annihilate
     constants.  Each solve rejects a non-finite b and raises SolverError
     unless ||(A + m m^T) x - b|| <= RESIDUAL_TOL * ||b||.
     """
     A = _as_csr(A)
+    if not np.all(A.data):  # stored zeros would only add LU fill
+        A = A.copy()
+        A.eliminate_zeros()
     n = A.shape[0]
     if rank_one is None:
         direct = _lu(A).solve

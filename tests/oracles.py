@@ -8,13 +8,16 @@ incidence counts, the VTK polygons, the Gauss points of rectangles and the
 P1 gradients and dual quadrature points.  ``save_mesh`` writes the mesh
 files the tests read back.  ``transport_matrices`` and
 ``transport_jacobian`` are the per-step and per-iteration transport
-assembly that ``TransportOperator`` replaced.
+assembly that ``TransportOperator`` replaced, and ``grad_gram``,
+``convection_matrix`` and ``artificial_diffusion`` the sparse-product
+assembly that the cached ``AssemblyPattern`` replaced; the products drop
+the entries that cancel.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from gdflow.assembly import convection_matrix, diffusion_matrix
+from gdflow import assembly
 
 
 def tensor_D(params, u):
@@ -201,10 +204,11 @@ def transport_matrices(gd, U, dt, dsrc, params, variant):
     """base = mass / dt + diffusion (+ the production reaction) and the
     convection C, assembled anew for one transport step."""
     mass = params.phi * gd.recon_measures
-    base = sp.diags(mass / dt) + diffusion_matrix(gd, U, params, variant)
+    base = sp.diags(mass / dt) + assembly.diffusion_matrix(gd, U, params,
+                                                           variant)
     if dsrc.production_in_transport and np.any(dsrc.q_production):
         base = base + sp.diags(dsrc.q_production)
-    return base.tocsr(), convection_matrix(gd, U, variant)
+    return base.tocsr(), assembly.convection_matrix(gd, U, variant)
 
 
 def transport_jacobian(base, C, theta, free_idx=None):
@@ -214,3 +218,35 @@ def transport_jacobian(base, C, theta, free_idx=None):
     if free_idx is not None:
         J = J.tocsc()[:, free_idx][free_idx].tocsr()
     return J
+
+
+def grad_gram(gd, a11=1.0, a22=1.0, a12=None):
+    """``GradientDiscretisation.grad_gram`` by sparse triple products."""
+    mg = gd.grad_measures
+    gx, gy = gd.grad_x, gd.grad_y
+    K = gx.T @ sp.diags(mg * a11) @ gx + gy.T @ sp.diags(mg * a22) @ gy
+    if a12 is not None and np.any(a12):
+        m12 = sp.diags(mg * a12)
+        K = K + gx.T @ m12 @ gy + gy.T @ m12 @ gx
+    return K.tocsr()
+
+
+def artificial_diffusion(C):
+    """``assembly.artificial_diffusion`` by sparse maximum and sums."""
+    S = C.maximum(C.T).tocsr()
+    S = S - sp.diags(S.diagonal())
+    S.data = np.maximum(S.data, 0.0)
+    S.eliminate_zeros()
+    row_sums = np.asarray(S.sum(axis=1)).ravel()
+    return (sp.diags(row_sums) - S).tocsr()
+
+
+def convection_matrix(gd, U, variant):
+    """``assembly.convection_matrix`` by sparse products."""
+    mg = gd.grad_measures
+    C = -(gd.grad_x.T @ sp.diags(mg * U[:, 0])
+          + gd.grad_y.T @ sp.diags(mg * U[:, 1])) @ gd.overlap
+    C = C.tocsr()
+    if variant == "upstream":
+        C = (C + artificial_diffusion(C)).tocsr()
+    return C

@@ -26,9 +26,11 @@ from gdflow.assembly import (
 )
 from gdflow.gd import scheme_a, scheme_b
 from gdflow.linalg import residual_norm
-from gdflow.mesh import build_cartesian, build_dual, build_structured_triangulation
-from gdflow.physics import DispersionParams, MobilityTensor
-from oracles import transport_jacobian, transport_matrices
+from gdflow.mesh import build_cartesian, build_dual, \
+    build_structured_triangulation, load_mesh
+from gdflow.physics import DispersionParams, MobilityTensor, tensor_D_field
+import oracles
+from oracles import save_mesh, transport_jacobian, transport_matrices
 
 
 def make_a(n=3, L=1.0):
@@ -492,6 +494,110 @@ class TestTransportOperatorProperties:
             ref = transport_jacobian(base, C, theta, free)
             assert J.has_sorted_indices
             assert np.array_equal(J.toarray(), ref.toarray())
+
+
+def loaded_gd(tmp_path):
+    """Scheme b on a mesh file: tri3 with its interior vertices moved."""
+    mesh = build_structured_triangulation(3, 1.0)
+    rng = np.random.default_rng(21)
+    inside = np.all((mesh.vertices > 1e-12) & (mesh.vertices < 1 - 1e-12),
+                    axis=1)
+    mesh.vertices[inside] += rng.uniform(-0.03, 0.03, (inside.sum(), 2))
+    save_mesh(mesh, tmp_path / "moved.mesh")
+    mesh = load_mesh(tmp_path / "moved.mesh")
+    return scheme_b(mesh, build_dual(mesh))
+
+
+DISCRETISATIONS = {"a": lambda tmp_path: make_a(4),
+                   "b": lambda tmp_path: make_b(2),
+                   "loaded": loaded_gd}
+
+
+def assert_matches_oracle(A, ref):
+    """A within 1e-13 of ref relative to its largest entry, with every
+    stored entry of ref stored in A."""
+    assert np.max(np.abs((A - ref).toarray())) \
+        <= 1e-13 * np.max(np.abs(ref.data))
+    in_A = np.zeros(A.shape, dtype=bool)
+    in_A[stored(A)] = True
+    assert np.all(in_A[stored(ref)])
+
+
+@pytest.mark.parametrize("geometry", list(DISCRETISATIONS))
+class TestAssemblyPattern:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dl", [0.0, 0.4], ids=["no_D12", "D12"])
+    def test_matrices_match_product_oracle(self, tmp_path, geometry, variant,
+                                           dl):
+        gd = DISCRETISATIONS[geometry](tmp_path)
+        rng = np.random.default_rng(17)
+        U = 0.3 * rng.standard_normal((gd.n_grad_cells, 2))
+        U[rng.random(gd.n_grad_cells) < 0.2] = 0.0
+        params = DispersionParams(phi=0.1, dm=0.5, dl=dl, dt_=dl / 4)
+        h = gd.h if variant == "dh" else None
+        D11, D22, D12 = tensor_D_field(params, U, h=h)
+        assert np.any(D12) == (dl > 0)
+        assert_matches_oracle(diffusion_matrix(gd, U, params, variant),
+                              oracles.grad_gram(gd, D11, D22, D12))
+        assert_matches_oracle(convection_matrix(gd, U, variant),
+                              oracles.convection_matrix(gd, U, variant))
+        centred = convection_matrix(gd, U, "centred")
+        ref = oracles.artificial_diffusion(centred)
+        assert_matches_oracle(artificial_diffusion(centred), ref)
+        assert_matches_oracle(
+            artificial_diffusion(centred, gd.pattern().transpose), ref)
+        G, a = pressure_matrix(gd, rng.random(gd.ndof),
+                               MobilityTensor(k=1.0, M=41.0))
+        assert_matches_oracle(G, oracles.grad_gram(gd, a, a))
+
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_pattern_is_symmetric(self, tmp_path, geometry, cross):
+        gd = DISCRETISATIONS[geometry](tmp_path)
+        P = gd.pattern(cross)
+        A = P.matrix(np.arange(1.0, P.nnz + 1))
+        assert A.has_sorted_indices
+        rows, cols = stored(A)
+        assert set(zip(rows, cols)) == set(zip(cols, rows))
+        assert np.array_equal(rows[P.transpose], cols)
+        assert np.array_equal(cols[P.transpose], rows)
+        assert np.array_equal(A.diagonal(), P.diag + 1.0)
+        for name in ("indptr", "indices", "pos", "diag", "transpose"):
+            assert not getattr(P, name).flags.writeable, name
+
+    def test_in_place_change_raises(self, tmp_path, geometry):
+        gd = DISCRETISATIONS[geometry](tmp_path)
+        rng = np.random.default_rng(3)
+        U = rng.standard_normal((gd.n_grad_cells, 2))
+        params = DispersionParams(phi=0.1, dm=0.5, dl=0.4, dt_=0.1)
+        dsrc = discretize_sources(gd, 1.0, None)
+        dofs = np.flatnonzero(dsrc.q_production)
+        op = TransportOperator(gd, U, 0.1, dsrc, params, "centred", dofs)
+        before = [A.toarray() for A in (op.base, op.C, gd.grad_gram())]
+        J = op.jacobian(np.ones(gd.ndof))
+        for A in (op.base, op.C, gd.grad_gram(), J):
+            with pytest.raises(ValueError, match="read-only"):
+                A.eliminate_zeros()
+            A.has_sorted_indices = False
+            with pytest.raises(ValueError, match="read-only"):
+                A.sort_indices()
+        op = TransportOperator(gd, U, 0.1, dsrc, params, "centred", dofs)
+        after = [A.toarray() for A in (op.base, op.C, gd.grad_gram())]
+        for got, ref in zip(after, before):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(op.jacobian(np.ones(gd.ndof)).toarray(),
+                              J.toarray())
+
+
+def test_isotropic_scheme_a_pattern_is_five_point():
+    N = 4
+    gd = make_a(N)
+    rows, cols = stored(gd.grad_gram())
+    di = np.abs(rows % (N + 1) - cols % (N + 1))
+    dj = np.abs(rows // (N + 1) - cols // (N + 1))
+    assert np.all(di + dj <= 1)
+    # the diagonal and both directions of the 2 N (N + 1) lattice edges
+    assert len(rows) == gd.ndof + 4 * N * (N + 1)
+    assert gd.pattern(True).nnz > gd.pattern().nnz
 
 
 class TestPressureProperties:

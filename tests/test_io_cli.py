@@ -197,6 +197,25 @@ class TestVtk:
         with pytest.raises(ValueError, match=message):
             validate_vtk(path)
 
+    @pytest.mark.parametrize("header, kept, message", [
+        ("POINTS", "POINTS", "POINTS header lacks its count"),
+        ("CELLS", "CELLS 9", "CELLS header lacks its size"),
+        ("CELL_TYPES", "CELL_TYPES", "CELL_TYPES header lacks its count"),
+        ("CELL_DATA", "CELL_DATA", "CELL_DATA header lacks its count"),
+    ], ids=["POINTS", "CELLS", "CELL_TYPES", "CELL_DATA"])
+    def test_validator_rejects_header_without_count(self, tmp_path, header,
+                                                    kept, message):
+        gd = scheme_a(build_cartesian(2, 1.0))
+        path = tmp_path / "c.vtk"
+        write_vtk(gd, {"c": np.ones(gd.ndof)}, path)
+        lines = path.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines)
+                  if ln.split()[0] == header)
+        lines[at] = kept
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            validate_vtk(path)
+
     def test_geometry_built_once_per_discretisation(self, tmp_path,
                                                      monkeypatch):
         calls, polygons = [], io_cli._scheme_b_polygons
@@ -373,6 +392,22 @@ class TestCli:
         assert (out / "fields_8.vtk").exists()
         validate_vtk(out / "fields_8.vtk")
         assert "L1=" in capsys.readouterr().out
+
+    def test_run_vtk_header_without_size_exit_1(self, tmp_path, capsys,
+                                                monkeypatch):
+        def write_without_size(gd, fields, path, velocity=None):
+            write_vtk(gd, fields, path, velocity=velocity)
+            lines = path.read_text().splitlines()
+            at = next(i for i, ln in enumerate(lines)
+                      if ln.startswith("CELLS"))
+            lines[at] = " ".join(lines[at].split()[:2])
+            path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(io_cli, "write_vtk", write_without_size)
+        path = write_config(
+            tmp_path, "test=analytic1\nscheme=a\nn=4\ndt=0.1\nvtk_every=1\n"
+                      f"out_dir={tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(path)]) == 1
+        assert "CELLS header lacks its size" in capsys.readouterr().err
 
     def test_run_determinism(self, tmp_path):
         cfg_text = "test=analytic1\nscheme=a\nn=8\ndt=0.05\n"

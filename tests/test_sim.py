@@ -11,6 +11,7 @@ from gdflow.sim import (
 )
 import gdflow
 from gdflow import assembly, linalg
+from gdflow import gd as gd_mod
 
 
 class TestRunConfig:
@@ -235,6 +236,27 @@ class TestTransportOperatorReuse:
                  for op in ops]
         assert [op.cache.factorizations for op in ops] == [1, 1]
         assert np.array_equal(steps[0][0], steps[1][0])
+
+
+class TestAssemblyPatternCache:
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(test="analytic2", scheme="a", n=8, dt=0.02, t_final=0.06),
+        RunConfig(test="analytic2", scheme="b", reps=4, dt=0.02, t_final=0.06),
+    ], ids=["a", "b"])
+    def test_pattern_built_once_per_discretisation(self, cfg, monkeypatch):
+        built = []
+
+        def counting(gd, mask, _real=gd_mod._build_pattern):
+            built.append(id(gd))
+            return _real(gd, mask)
+        monkeypatch.setattr(gd_mod, "_build_pattern", counting)
+        problem = build_problem(cfg)
+        assert built == []  # built on first use, not with the problem
+        _, report = run_coupled(cfg, problem=problem)
+        assert len(report.diagnostics) == 3
+        # M != 1 without dispersion: a pressure matrix and a transport
+        # operator per step, all on the one pattern without cross terms
+        assert built == [id(problem.gd)]
 
 
 class TestPicardIteration:
