@@ -122,18 +122,16 @@ def diffusion_matrix(gd, U, params, variant):
     return gd.grad_gram(D11, D22, D12)
 
 
-def artificial_diffusion(C, transpose=None):
+def artificial_diffusion(C):
     """Symmetric graph-Laplacian upwinding operator for a convection matrix
     C whose pattern is symmetric, with sorted rows and the diagonal:
     off-diagonal removals d_ij = max(0, c_ij, c_ji), zero row sums, on the
-    pattern of C.  ``transpose`` gives the position of the mirror of every
-    entry (``AssemblyPattern.transpose``), found by sorting otherwise."""
-    if transpose is None:
-        transpose = np.argsort(C.indices, kind="stable")
+    pattern of C."""
     n = C.shape[0]
     rows = np.repeat(np.arange(n), np.diff(C.indptr))
     diag = rows == C.indices
-    d = np.maximum(np.maximum(C.data, C.data[transpose]), 0.0)
+    # on such a pattern the column-major values are the mirrors c_ji
+    d = np.maximum(np.maximum(C.data, C.tocsc().data), 0.0)
     d[diag] = 0.0
     data = -d
     data[diag] = np.bincount(rows, d, n)[rows[diag]]
@@ -149,10 +147,9 @@ def convection_matrix(gd, U, variant):
     gx, gy, overlap = gd.local_rows("grad_x", "grad_y", "overlap")
     mg = gd.grad_measures
     flux = gx * (mg * U[:, 0]) + gy * (mg * U[:, 1])
-    P = gd.pattern()
-    C = P.assemble([(flux, np.full(len(mg), -1.0), overlap)])
+    C = gd.pattern().assemble([(flux, np.full(len(mg), -1.0), overlap)])
     if variant == "upstream":
-        C.data += artificial_diffusion(C, P.transpose).data
+        C.data += artificial_diffusion(C).data
     return C
 
 
@@ -212,12 +209,7 @@ class TransportOperator:
         C = convection_matrix(gd, U, variant)
         # C lies on gd.pattern(); D on that or, with D12, on the cross one
         P = gd.pattern(D.nnz != C.nnz)
-        if C.nnz != P.nnz:
-            plain = gd.pattern()
-            inside = plain.pos < plain.nnz
-            data = np.zeros(P.nnz)
-            data[P.pos[inside]] = C.data[plain.pos[inside]]
-            C = P.matrix(data)
+        C = P.matrix(np.append(C.data, 0.0)[P.from_plain])
         base = D.data
         base[P.diag] += self.mass / dt
         if dsrc.production_in_transport and np.any(dsrc.q_production):
@@ -232,7 +224,7 @@ class TransportOperator:
         self.free_block = None
         if dirichlet_dofs is not None:
             self.free[dirichlet_dofs] = False
-            key = np.asarray(dirichlet_dofs).tobytes()
+            key = self.free.tobytes()
             if key not in P.free_blocks:
                 P.free_blocks[key] = free_block_map(
                     self.base, np.flatnonzero(self.free))

@@ -91,16 +91,16 @@ class GradientDiscretisation:
         """The rows of the named operators among grad_x, grad_y and overlap
         on the k local dofs of each gradient cell, as (k, ngrad) arrays; the
         cell axis is last, so that array operations run along it."""
-        shape, at = self._local
-        rows = [np.zeros(shape) for _ in names]
+        dofs, at = self._local
+        rows = [np.zeros(dofs.shape) for _ in names]
         for row, name in zip(rows, names):
             row.ravel()[at[name]] = getattr(self, name).data
         return rows
 
     @cached_property
     def _local(self):
-        """((k, ngrad), at): the k local dofs of a gradient cell are the
-        columns of its grad_x, grad_y and overlap rows, in order, and
+        """(dofs, at): the k local dofs dofs[:, g] of gradient cell g are
+        the columns of its grad_x, grad_y and overlap rows, in order, and
         at[name] holds the flat (k, ngrad) positions of that operator's
         entries."""
         ng, n = self.n_grad_cells, self.ndof
@@ -113,8 +113,9 @@ class GradientDiscretisation:
         at = {name: np.searchsorted(union, key) for name, key in keys.items()}
         at = {name: (a % k * ng + a // k).astype(np.int32)
               for name, a in at.items()}
-        _read_only(*at.values())
-        return (k, ng), at
+        dofs = (union % n).reshape(ng, k).T
+        _read_only(dofs, *at.values())
+        return dofs, at
 
     def _operators(self):
         return [(name, getattr(self, name))
@@ -125,18 +126,29 @@ class GradientDiscretisation:
         use.  Without ``cross`` it leaves out the pairs that only grad_x (x)
         grad_y couples, so an isotropic stiffness keeps its stencil
         (5-point on scheme a); the convection lies in both."""
-        patterns = self.__dict__.setdefault("_patterns", {})
-        if cross not in patterns:
-            shape, at = self._local
-            sx, sy, so = (np.bincount(at[name], minlength=np.prod(shape))
-                          .reshape(shape) > 0 for name, _ in self._operators())
-            g = sx | sy
-            plain = (sx[:, None] & sx) | (sy[:, None] & sy) \
-                | (g[:, None] & so) | (so[:, None] & g)
-            full = plain | (g[:, None] & g)
-            patterns[cross] = self.pattern() if cross and np.array_equal(
-                plain, full) else _build_pattern(self, full if cross else plain)
-        return patterns[cross]
+        return self._cross_pattern if cross else self._plain_pattern
+
+    @cached_property
+    def _plain_pattern(self):
+        return _build_pattern(self, self._pairs()[0])
+
+    @cached_property
+    def _cross_pattern(self):
+        plain, full = self._pairs()
+        if np.array_equal(plain, full):
+            return self._plain_pattern
+        return _build_pattern(self, full, self._plain_pattern)
+
+    def _pairs(self):
+        """(k, k, ngrad) masks of the local pairs of the plain and the
+        cross pattern."""
+        dofs, at = self._local
+        sx, sy, so = (np.bincount(a, minlength=dofs.size).reshape(dofs.shape)
+                      > 0 for a in at.values())
+        g = sx | sy
+        plain = (sx[:, None] & sx) | (sy[:, None] & sy) \
+            | (g[:, None] & so) | (so[:, None] & g)
+        return plain, plain | (g[:, None] & g)
 
 
 @dataclass(frozen=True)
@@ -144,16 +156,17 @@ class AssemblyPattern:
     """The sorted, symmetric CSR pattern P of the matrices assembled on a
     gradient discretisation, sums over the gradient cells g of k x k blocks
     on the local dofs of g.  ``pos[g, i, j]`` is the position in P of the
-    local entry (i, j), or nnz for a pair that P leaves out; ``diag`` and
-    ``transpose`` give the position of every diagonal entry and of every
-    entry's mirror, and ``free_blocks`` the free-block maps of Dirichlet
-    dof sets.  The arrays are read-only: every matrix on P shares them."""
+    local entry (i, j), or nnz for a pair that P leaves out; ``diag`` gives
+    the position of every diagonal entry, ``from_plain`` that of every entry
+    in the plain pattern, or its nnz where the plain pattern has none, and
+    ``free_blocks`` the free-block maps of Dirichlet dof sets.  The arrays
+    are read-only: every matrix on P shares them."""
 
     indptr: np.ndarray
     indices: np.ndarray
     pos: np.ndarray
     diag: np.ndarray
-    transpose: np.ndarray
+    from_plain: np.ndarray
     free_blocks: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -168,58 +181,52 @@ class AssemblyPattern:
         """The matrix on P that sums the ``terms`` (u, w, v) in order: the
         local blocks (u_ig w_g) v_jg of the (k, ngrad) rows u, v and the
         cell weights w, each summed over the cells in ascending order, so
-        rounded as the sparse product u^T diag(w) v.  The cells go in
-        chunks, which keeps the temporaries small."""
+        rounded as the sparse product u^T diag(w) v."""
         total = np.zeros(self.nnz + 1)
-        data = np.empty_like(total)
-        buffer = np.empty(self.pos[:_CHUNK].shape)
         for u, w, v in terms:
-            data[:] = 0.0
+            data = np.zeros_like(total)
             for start in range(0, len(self.pos), _CHUNK):
                 c = slice(start, start + _CHUNK)
-                block = buffer[:len(self.pos[c])]  # cell-major, as pos
-                np.multiply(u[:, None, c] * w[c], v[None, :, c],
-                            out=block.transpose(1, 2, 0))
-                np.add.at(data, self.pos[c].ravel(), block.ravel())
+                local = (u[:, c].T * w[c, None])[:, :, None] \
+                    * v[:, c].T[:, None, :]
+                np.add.at(data, self.pos[c].ravel(), local.ravel())
             total += data
         return self.matrix(total[:-1])
 
 
-# gradient cells per chunk of AssemblyPattern.assemble
+# gradient cells per chunk of AssemblyPattern.assemble: one chunk for the
+# whole of scheme a n=128 raised the peak memory of quality-seq by 7 MB
 _CHUNK = 8192
+
+
+def _build_pattern(gd, mask, plain=None):
+    """The ``AssemblyPattern`` of the local pairs (i, j, g) where ``mask``,
+    which holds those of the ``plain`` pattern if given, built pair by pair
+    to keep the temporaries small; every dof lies in some gradient cell, so
+    P holds the diagonal."""
+    n, (dofs, _) = gd.ndof, gd._local
+    pairs = [(i, j, mask[i, j]) for i in range(len(dofs))
+             for j in range(len(dofs))]
+    key = [dofs[i, m] * n + dofs[j, m] for i, j, m in pairs]
+    keys = np.unique(np.concatenate([np.unique(k) for k in key]))
+    pos = np.full(mask.shape, len(keys), dtype=np.int32)
+    for (i, j, m), k in zip(pairs, key):
+        pos[i, j, m] = np.searchsorted(keys, k)
+    pos = pos.transpose(2, 0, 1).copy()  # cell-major, as assemble sums
+    plain_keys = keys if plain is None else plain.indices + n * np.repeat(
+        np.arange(n), np.diff(plain.indptr))
+    i = np.searchsorted(plain_keys, keys).clip(max=len(plain_keys) - 1)
+    arrays = (np.searchsorted(keys // n, np.arange(n + 1)), keys % n, pos,
+              np.searchsorted(keys, np.arange(n) * (n + 1)),
+              np.where(plain_keys[i] == keys, i, len(plain_keys)))
+    return AssemblyPattern(*_read_only(
+        *(a.astype(np.int32, copy=False) for a in arrays)))
 
 
 def _read_only(*arrays):
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-def _build_pattern(gd, mask):
-    """The ``AssemblyPattern`` of the local pairs (i, j, g) where ``mask``,
-    built pair by pair to keep the temporaries small; every dof lies in
-    some gradient cell, so P holds the diagonal."""
-    n, (shape, at) = gd.ndof, gd._local
-    dofs = np.empty(shape, dtype=np.int64)
-    for name, A in gd._operators():
-        np.put(dofs, at[name], A.indices)
-    pairs = [(i, j, mask[i, j]) for i in range(shape[0])
-             for j in range(shape[0])]
-    P = sp.csr_matrix((n, n))
-    for i, j, m in pairs:  # sums of ones: no entry cancels
-        P = P + sp.csr_matrix((np.ones(m.sum()), (dofs[i, m], dofs[j, m])),
-                              shape=(n, n))
-    keys = np.repeat(np.arange(n), np.diff(P.indptr)) * n + P.indices
-    pos = np.full(mask.shape, P.nnz, dtype=np.int32)
-    for i, j, m in pairs:
-        pos[i, j, m] = np.searchsorted(keys, dofs[i, m] * n + dofs[j, m])
-    pos = pos.transpose(2, 0, 1).copy()  # cell-major, as assemble sums
-    # on a symmetric pattern with sorted rows, the entries in column order
-    # are the mirrors of the entries in row order
-    return AssemblyPattern(*_read_only(
-        P.indptr.astype(np.int32), P.indices.astype(np.int32), pos,
-        np.searchsorted(keys, np.arange(n) * (n + 1)).astype(np.int32),
-        np.argsort(P.indices, kind="stable").astype(np.int32)))
 
 
 def _gauss4(x0, x1, y0, y1, cells):

@@ -544,8 +544,6 @@ class TestAssemblyPattern:
         centred = convection_matrix(gd, U, "centred")
         ref = oracles.artificial_diffusion(centred)
         assert_matches_oracle(artificial_diffusion(centred), ref)
-        assert_matches_oracle(
-            artificial_diffusion(centred, gd.pattern().transpose), ref)
         G, a = pressure_matrix(gd, rng.random(gd.ndof),
                                MobilityTensor(k=1.0, M=41.0))
         assert_matches_oracle(G, oracles.grad_gram(gd, a, a))
@@ -558,10 +556,19 @@ class TestAssemblyPattern:
         assert A.has_sorted_indices
         rows, cols = stored(A)
         assert set(zip(rows, cols)) == set(zip(cols, rows))
-        assert np.array_equal(rows[P.transpose], cols)
-        assert np.array_equal(cols[P.transpose], rows)
+        # the column-major order lists the mirror of every entry, which
+        # artificial_diffusion relies on
+        assert np.array_equal(A.tocsc().data, A.toarray()[cols, rows])
         assert np.array_equal(A.diagonal(), P.diag + 1.0)
-        for name in ("indptr", "indices", "pos", "diag", "transpose"):
+        plain = gd.pattern()
+        in_plain = P.from_plain < plain.nnz
+        assert in_plain.sum() == plain.nnz
+        plain_rows, plain_cols = stored(plain.matrix(np.ones(plain.nnz)))
+        assert np.array_equal(plain_rows[P.from_plain[in_plain]],
+                              rows[in_plain])
+        assert np.array_equal(plain_cols[P.from_plain[in_plain]],
+                              cols[in_plain])
+        for name in ("indptr", "indices", "pos", "diag", "from_plain"):
             assert not getattr(P, name).flags.writeable, name
 
     def test_in_place_change_raises(self, tmp_path, geometry):
@@ -586,6 +593,27 @@ class TestAssemblyPattern:
             assert np.array_equal(got, ref)
         assert np.array_equal(op.jacobian(np.ones(gd.ndof)).toarray(),
                               J.toarray())
+
+
+def test_free_blocks_kept_per_dirichlet_set():
+    """Dof sets whose bytes agree across dtypes get their own free block;
+    one set in two dtypes shares one."""
+    gd = make_a(4)
+    U = np.zeros((gd.n_grad_cells, 2))
+    params = DispersionParams(phi=0.1, dm=0.5, dl=0.0, dt_=0.0)
+    dsrc = discretize_sources(gd, 1.0, None)
+
+    def block(dofs):
+        op = TransportOperator(gd, U, 0.1, dsrc, params, "centred", dofs)
+        assert op.free_block[1].shape == (gd.ndof - len(dofs),) * 2
+        return op.free_block
+
+    pair = block(np.array([1, 0], dtype=np.int32))
+    one = block(np.array([1], dtype=np.int64))
+    assert np.array([1, 0], np.int32).tobytes() \
+        == np.array([1], np.int64).tobytes()
+    assert one is not pair
+    assert block(np.array([0, 1], dtype=np.int64)) is pair
 
 
 def test_isotropic_scheme_a_pattern_is_five_point():

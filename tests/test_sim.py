@@ -246,9 +246,9 @@ class TestAssemblyPatternCache:
     def test_pattern_built_once_per_discretisation(self, cfg, monkeypatch):
         built = []
 
-        def counting(gd, mask, _real=gd_mod._build_pattern):
+        def counting(gd, *args, _real=gd_mod._build_pattern):
             built.append(id(gd))
-            return _real(gd, mask)
+            return _real(gd, *args)
         monkeypatch.setattr(gd_mod, "_build_pattern", counting)
         problem = build_problem(cfg)
         assert built == []  # built on first use, not with the problem
