@@ -138,16 +138,16 @@ def artificial_diffusion(C):
     return sp.csr_matrix((data, C.indices, C.indptr), shape=C.shape)
 
 
-def convection_matrix(gd, U, variant):
+def convection_matrix(gd, U, variant, cross=False):
     """Matrix C with (C w)_i = -int T-free transport of w against U.grad(phi_i),
-    on ``gd.pattern()``; the truncation is applied to the argument before
-    multiplying."""
+    on ``gd.pattern(cross)``, which holds it either way; the truncation is
+    applied to the argument before multiplying."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown convection variant {variant!r}")
-    gx, gy, overlap = gd.local_rows("grad_x", "grad_y", "overlap")
+    _, gx, gy, overlap = gd._local
     mg = gd.grad_measures
     flux = gx * (mg * U[:, 0]) + gy * (mg * U[:, 1])
-    C = gd.pattern().assemble([(flux, np.full(len(mg), -1.0), overlap)])
+    C = gd.pattern(cross).assemble([(flux, np.full(len(mg), -1.0), overlap)])
     if variant == "upstream":
         C.data += artificial_diffusion(C).data
     return C
@@ -191,13 +191,13 @@ class TransportOperator:
 
     ``base`` = mass / dt + diffusion (+ the production reaction) and the
     convection ``C`` define the residual F(c) = base c + C T(c) - b0 and the
-    Jacobian base + C diag(theta).  Both are CSR matrices on the assembly
-    pattern P of the diffusion, which holds the convection's, and share
-    its index arrays, so that each Jacobian is formed from their values
-    alone.  Each step prescribes values on ``dirichlet_dofs``, if given,
-    and ``free_block``, kept by P per Dirichlet set, maps P to its free
-    block.  ``cache`` holds the LU of the Jacobians and lives as long as
-    the operator.
+    Jacobian base + C diag(theta).  Both are assembled on the pattern P
+    of the diffusion, the cross one where the dispersion has a D12 part,
+    and share its index arrays, so that each Jacobian is formed from their
+    values alone.  Each step prescribes values on ``dirichlet_dofs``, if
+    given, and ``free_block``, kept by P per Dirichlet set, maps P to its
+    free block.  ``cache`` holds the LU of the Jacobians and lives as long
+    as the operator.
     """
 
     def __init__(self, gd, U, dt, dsrc, params, variant, dirichlet_dofs=None):
@@ -206,10 +206,8 @@ class TransportOperator:
         self.dt = dt
         self.mass = params.phi * gd.recon_measures
         D = diffusion_matrix(gd, U, params, variant)
-        C = convection_matrix(gd, U, variant)
-        # C lies on gd.pattern(); D on that or, with D12, on the cross one
-        P = gd.pattern(D.nnz != C.nnz)
-        C = P.matrix(np.append(C.data, 0.0)[P.from_plain])
+        cross = D.nnz != gd.pattern().nnz  # D12 puts D on the cross one
+        P, C = gd.pattern(cross), convection_matrix(gd, U, variant, cross)
         base = D.data
         base[P.diag] += self.mass / dt
         if dsrc.production_in_transport and np.any(dsrc.q_production):

@@ -79,7 +79,7 @@ class GradientDiscretisation:
         It lies on ``pattern(cross)``, cross telling whether a12 is nonzero
         anywhere, and entries that cancel stay stored as zeros; the values
         are rounded as by the sparse products grad^T diag(|g| a) grad."""
-        gx, gy = self.local_rows("grad_x", "grad_y")
+        _, gx, gy, _ = self._local
         mg = self.grad_measures
         terms = [(gx, mg * a11, gx), (gy, mg * a22, gy)]
         cross = a12 is not None and bool(np.any(a12))
@@ -87,39 +87,25 @@ class GradientDiscretisation:
             terms += [(gx, mg * a12, gy), (gy, mg * a12, gx)]
         return self.pattern(cross).assemble(terms)
 
-    def local_rows(self, *names):
-        """The rows of the named operators among grad_x, grad_y and overlap
-        on the k local dofs of each gradient cell, as (k, ngrad) arrays; the
-        cell axis is last, so that array operations run along it."""
-        dofs, at = self._local
-        rows = [np.zeros(dofs.shape) for _ in names]
-        for row, name in zip(rows, names):
-            row.ravel()[at[name]] = getattr(self, name).data
-        return rows
-
     @cached_property
     def _local(self):
-        """(dofs, at): the k local dofs dofs[:, g] of gradient cell g are
-        the columns of its grad_x, grad_y and overlap rows, in order, and
-        at[name] holds the flat (k, ngrad) positions of that operator's
-        entries."""
+        """(dofs, gx, gy, ov): the k local dofs dofs[:, g] of gradient cell
+        g, the columns of its grad_x, grad_y and overlap rows in order, and
+        those rows on them, as read-only (k, ngrad) arrays; the cell axis
+        is last, so that array operations run along it."""
         ng, n = self.n_grad_cells, self.ndof
-        keys = {name: np.repeat(np.arange(ng), np.diff(A.indptr)) * n
-                + A.indices for name, A in self._operators()}
-        union = np.unique(np.concatenate(list(keys.values())))
+        ops = (self.grad_x, self.grad_y, self.overlap)
+        keys = [np.repeat(np.arange(ng), np.diff(A.indptr)) * n + A.indices
+                for A in ops]
+        union = np.unique(np.concatenate(keys))
         k = len(union) // ng
         if not np.array_equal(union // n, np.repeat(np.arange(ng), k)):
             raise ValueError("gradient cells of unequal local dof counts")
-        at = {name: np.searchsorted(union, key) for name, key in keys.items()}
-        at = {name: (a % k * ng + a // k).astype(np.int32)
-              for name, a in at.items()}
-        dofs = (union % n).reshape(ng, k).T
-        _read_only(dofs, *at.values())
-        return dofs, at
-
-    def _operators(self):
-        return [(name, getattr(self, name))
-                for name in ("grad_x", "grad_y", "overlap")]
+        rows = [np.zeros((k, ng)) for _ in ops]
+        for row, A, key in zip(rows, ops, keys):
+            at = np.searchsorted(union, key)
+            row[at % k, at // k] = A.data
+        return _read_only((union % n).reshape(ng, k).T, *rows)
 
     def pattern(self, cross=False):
         """The ``AssemblyPattern`` of this discretisation, built on first
@@ -130,25 +116,23 @@ class GradientDiscretisation:
 
     @cached_property
     def _plain_pattern(self):
-        return _build_pattern(self, self._pairs()[0])
+        return _build_pattern(self, self._structure(cross=False))
 
     @cached_property
     def _cross_pattern(self):
-        plain, full = self._pairs()
-        if np.array_equal(plain, full):
-            return self._plain_pattern
-        return _build_pattern(self, full, self._plain_pattern)
+        S, plain = self._structure(cross=True), self._plain_pattern
+        return plain if S.nnz == plain.nnz else _build_pattern(self, S)
 
-    def _pairs(self):
-        """(k, k, ngrad) masks of the local pairs of the plain and the
-        cross pattern."""
-        dofs, at = self._local
-        sx, sy, so = (np.bincount(a, minlength=dofs.size).reshape(dofs.shape)
-                      > 0 for a in at.values())
-        g = sx | sy
-        plain = (sx[:, None] & sx) | (sy[:, None] & sy) \
-            | (g[:, None] & so) | (so[:, None] & g)
-        return plain, plain | (g[:, None] & g)
+    def _structure(self, cross):
+        """The pairs of the plain or the cross pattern, which holds the
+        plain one: Sx^T Sx + Sy^T Sy or Sg^T Sg, plus Sg^T So + So^T Sg, for
+        the operators' structure Sx, Sy, So (ones on the stored entries)."""
+        sx, sy, so = (sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr),
+                                    shape=A.shape)
+                      for A in (self.grad_x, self.grad_y, self.overlap))
+        sg = sx + sy
+        S = sg.T @ sg if cross else sx.T @ sx + sy.T @ sy
+        return S + sg.T @ so + so.T @ sg
 
 
 @dataclass(frozen=True)
@@ -156,17 +140,15 @@ class AssemblyPattern:
     """The sorted, symmetric CSR pattern P of the matrices assembled on a
     gradient discretisation, sums over the gradient cells g of k x k blocks
     on the local dofs of g.  ``pos[g, i, j]`` is the position in P of the
-    local entry (i, j), or nnz for a pair that P leaves out; ``diag`` gives
-    the position of every diagonal entry, ``from_plain`` that of every entry
-    in the plain pattern, or its nnz where the plain pattern has none, and
-    ``free_blocks`` the free-block maps of Dirichlet dof sets.  The arrays
-    are read-only: every matrix on P shares them."""
+    local entry (i, j), or nnz where P has none; ``diag`` gives the
+    position of every diagonal entry and ``free_blocks`` the free-block
+    maps of Dirichlet dof sets.  The arrays are read-only: every matrix on
+    P shares them."""
 
     indptr: np.ndarray
     indices: np.ndarray
     pos: np.ndarray
     diag: np.ndarray
-    from_plain: np.ndarray
     free_blocks: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -199,28 +181,20 @@ class AssemblyPattern:
 _CHUNK = 8192
 
 
-def _build_pattern(gd, mask, plain=None):
-    """The ``AssemblyPattern`` of the local pairs (i, j, g) where ``mask``,
-    which holds those of the ``plain`` pattern if given, built pair by pair
-    to keep the temporaries small; every dof lies in some gradient cell, so
-    P holds the diagonal."""
-    n, (dofs, _) = gd.ndof, gd._local
-    pairs = [(i, j, mask[i, j]) for i in range(len(dofs))
-             for j in range(len(dofs))]
-    key = [dofs[i, m] * n + dofs[j, m] for i, j, m in pairs]
-    keys = np.unique(np.concatenate([np.unique(k) for k in key]))
-    pos = np.full(mask.shape, len(keys), dtype=np.int32)
-    for (i, j, m), k in zip(pairs, key):
-        pos[i, j, m] = np.searchsorted(keys, k)
-    pos = pos.transpose(2, 0, 1).copy()  # cell-major, as assemble sums
-    plain_keys = keys if plain is None else plain.indices + n * np.repeat(
-        np.arange(n), np.diff(plain.indptr))
-    i = np.searchsorted(plain_keys, keys).clip(max=len(plain_keys) - 1)
-    arrays = (np.searchsorted(keys // n, np.arange(n + 1)), keys % n, pos,
-              np.searchsorted(keys, np.arange(n) * (n + 1)),
-              np.where(plain_keys[i] == keys, i, len(plain_keys)))
-    return AssemblyPattern(*_read_only(
-        *(a.astype(np.int32, copy=False) for a in arrays)))
+def _build_pattern(gd, S):
+    """The ``AssemblyPattern`` on the stored entries of S, with pos built
+    pair by pair of local dofs to keep the temporaries small; S holds the
+    diagonal, as every dof lies in some gradient cell."""
+    S.sort_indices()
+    n, dofs = gd.ndof, gd._local[0]
+    keys = np.repeat(np.arange(n), np.diff(S.indptr)) * n + S.indices
+    pos = np.empty((dofs.shape[1],) + (len(dofs),) * 2, dtype=np.int32)
+    for i, j in np.ndindex(pos.shape[1:]):
+        key = dofs[i] * n + dofs[j]
+        at = np.searchsorted(keys, key)
+        pos[:, i, j] = np.where(keys.take(at, mode="clip") == key, at, S.nnz)
+    diag = np.searchsorted(keys, np.arange(n) * (n + 1)).astype(np.int32)
+    return AssemblyPattern(*_read_only(S.indptr, S.indices, pos, diag))
 
 
 def _read_only(*arrays):

@@ -539,8 +539,9 @@ class TestAssemblyPattern:
         assert np.any(D12) == (dl > 0)
         assert_matches_oracle(diffusion_matrix(gd, U, params, variant),
                               oracles.grad_gram(gd, D11, D22, D12))
-        assert_matches_oracle(convection_matrix(gd, U, variant),
-                              oracles.convection_matrix(gd, U, variant))
+        for cross in (False, True):
+            assert_matches_oracle(convection_matrix(gd, U, variant, cross),
+                                  oracles.convection_matrix(gd, U, variant))
         centred = convection_matrix(gd, U, "centred")
         ref = oracles.artificial_diffusion(centred)
         assert_matches_oracle(artificial_diffusion(centred), ref)
@@ -560,16 +561,32 @@ class TestAssemblyPattern:
         # artificial_diffusion relies on
         assert np.array_equal(A.tocsc().data, A.toarray()[cols, rows])
         assert np.array_equal(A.diagonal(), P.diag + 1.0)
-        plain = gd.pattern()
-        in_plain = P.from_plain < plain.nnz
-        assert in_plain.sum() == plain.nnz
-        plain_rows, plain_cols = stored(plain.matrix(np.ones(plain.nnz)))
-        assert np.array_equal(plain_rows[P.from_plain[in_plain]],
-                              rows[in_plain])
-        assert np.array_equal(plain_cols[P.from_plain[in_plain]],
-                              cols[in_plain])
-        for name in ("indptr", "indices", "pos", "diag", "from_plain"):
+        # the plain pattern's entries are among those of the cross one
+        plain, full = (gd.pattern(c) for c in (False, True))
+        in_cross = np.zeros(A.shape, dtype=bool)
+        in_cross[stored(full.matrix(np.ones(full.nnz)))] = True
+        assert np.all(in_cross[stored(plain.matrix(np.ones(plain.nnz)))])
+        for name in ("indptr", "indices", "pos", "diag"):
             assert not getattr(P, name).flags.writeable, name
+        for a in gd._local:
+            assert not a.flags.writeable
+
+    def test_local_table_matches_operators(self, tmp_path, geometry):
+        """rows[i][:, g] holds row g of the i-th of grad_x, grad_y and
+        overlap on the local dofs dofs[:, g], which are the columns of
+        those rows; the table is built once per discretisation."""
+        gd = DISCRETISATIONS[geometry](tmp_path)
+        local = gd._local
+        dofs, rows = local[0], local[1:]
+        cells = np.arange(gd.n_grad_cells)
+        for row, A in zip(rows, (gd.grad_x, gd.grad_y, gd.overlap)):
+            assert np.array_equal(row, A.toarray()[cells, dofs])
+        union = (abs(gd.grad_x) + abs(gd.grad_y) + gd.overlap).tolil().rows
+        assert all(list(d) == cols for d, cols in zip(dofs.T, union))
+        U = np.ones((gd.n_grad_cells, 2))
+        gd.grad_gram(1.0, 1.0, 0.5)
+        convection_matrix(gd, U, "upstream", cross=True)
+        assert all(a is b for a, b in zip(gd._local, local))
 
     def test_in_place_change_raises(self, tmp_path, geometry):
         gd = DISCRETISATIONS[geometry](tmp_path)

@@ -239,11 +239,21 @@ class TestTransportOperatorReuse:
 
 
 class TestAssemblyPatternCache:
-    @pytest.mark.parametrize("cfg", [
-        RunConfig(test="analytic2", scheme="a", n=8, dt=0.02, t_final=0.06),
-        RunConfig(test="analytic2", scheme="b", reps=4, dt=0.02, t_final=0.06),
-    ], ids=["a", "b"])
-    def test_pattern_built_once_per_discretisation(self, cfg, monkeypatch):
+    # M != 1 without dispersion: a pressure matrix and a transport operator
+    # per step, all on the one pattern without cross terms; lit2's D12
+    # puts the diffusion on the cross pattern, which on scheme b holds no
+    # other pairs and is the plain one, never built apart
+    @pytest.mark.parametrize("cfg, patterns", [
+        (RunConfig(test="analytic2", scheme="a", n=8, dt=0.02,
+                   t_final=0.06), 1),
+        (RunConfig(test="analytic2", scheme="b", reps=4, dt=0.02,
+                   t_final=0.06), 1),
+        (RunConfig(test="lit2", scheme="a", n=8, dt=18.0, t_final=54.0), 2),
+        (RunConfig(test="lit2", scheme="b", reps=4, dt=18.0,
+                   t_final=54.0), 1),
+    ], ids=["a", "b", "lit2-a", "lit2-b"])
+    def test_pattern_built_once_per_discretisation(self, cfg, patterns,
+                                                   monkeypatch):
         built = []
 
         def counting(gd, *args, _real=gd_mod._build_pattern):
@@ -254,9 +264,7 @@ class TestAssemblyPatternCache:
         assert built == []  # built on first use, not with the problem
         _, report = run_coupled(cfg, problem=problem)
         assert len(report.diagnostics) == 3
-        # M != 1 without dispersion: a pressure matrix and a transport
-        # operator per step, all on the one pattern without cross terms
-        assert built == [id(problem.gd)]
+        assert built == [id(problem.gd)] * patterns
 
 
 class TestPicardIteration:
