@@ -120,8 +120,11 @@ class GradientDiscretisation:
 
     @cached_property
     def _cross_pattern(self):
-        S, plain = self._structure(cross=True), self._plain_pattern
-        return plain if S.nnz == plain.nnz else _build_pattern(self, S)
+        # when overlap stores every local dof (scheme b), Sg^T So holds the
+        # pairs of Sg^T Sg, so the cross pattern is the plain one
+        if np.all(np.diff(self.overlap.indptr) == len(self._local[0])):
+            return self._plain_pattern
+        return _build_pattern(self, self._structure(cross=True))
 
     def _structure(self, cross):
         """The pairs of the plain or the cross pattern, which holds the
@@ -228,41 +231,30 @@ def scheme_a(grid):
     ndof = grid.n_nodes
     stride = N + 1
 
+    # the quadrants (da, db) of every primal square (ii, jj), corner by
+    # corner, and the corner (a, b) owning each
     ii, jj = np.meshgrid(np.arange(N), np.arange(N), indexing="xy")
     ii, jj = ii.ravel(), jj.ravel()  # primal squares
-
-    rows, gx_cols, gy_cols, owner_cols, qx0, qy0 = [], [], [], [], [], []
-    row0 = 0
-    nsq = N * N
-    for da in (0, 1):      # corner offset in x
-        for db in (0, 1):  # corner offset in y
-            a = ii + da
-            b = jj + db
-            rows.append(np.repeat(np.arange(row0, row0 + nsq), 2))
-            # x-difference along the horizontal edge at the corner's height
-            gx_cols.append(np.column_stack([(ii + 1) + b * stride,
-                                            ii + b * stride]).ravel())
-            # y-difference along the vertical edge at the corner's abscissa
-            gy_cols.append(np.column_stack([a + (jj + 1) * stride,
-                                            a + jj * stride]).ravel())
-            owner_cols.append(a + b * stride)
-            qx0.append(ii * h + da * h / 2.0)
-            qy0.append(jj * h + db * h / 2.0)
-            row0 += nsq
-    ngrad = 4 * nsq
-    rows = np.concatenate(rows)
+    da, db = (np.array(d)[:, None] for d in ((0, 0, 1, 1), (0, 1, 0, 1)))
+    a, b = ii + da, jj + db
+    # x-difference along the horizontal edge at the corner's height,
+    # y-difference along the vertical edge at the corner's abscissa
+    gx_cols = np.stack([(ii + 1) + b * stride, ii + b * stride], axis=-1)
+    gy_cols = np.stack([a + (jj + 1) * stride, a + jj * stride], axis=-1)
+    ngrad = 4 * N * N
+    rows = np.repeat(np.arange(ngrad), 2)
     vals = np.tile([1.0 / h, -1.0 / h], ngrad)  # both difference quotients
-    grad_x = sp.csr_matrix((vals, (rows, np.concatenate(gx_cols))),
+    grad_x = sp.csr_matrix((vals, (rows, gx_cols.ravel())),
                            shape=(ngrad, ndof))
-    grad_y = sp.csr_matrix((vals, (rows, np.concatenate(gy_cols))),
+    grad_y = sp.csr_matrix((vals, (rows, gy_cols.ravel())),
                            shape=(ngrad, ndof))
     overlap = sp.csr_matrix((np.ones(ngrad),
-                             (np.arange(ngrad), np.concatenate(owner_cols))),
+                             (np.arange(ngrad), (a + b * stride).ravel())),
                             shape=(ngrad, ndof))
     grad_measures = np.full(ngrad, h * h / 4.0)
 
-    qx0 = np.concatenate(qx0)
-    qy0 = np.concatenate(qy0)
+    qx0 = (ii * h + da * h / 2.0).ravel()
+    qy0 = (jj * h + db * h / 2.0).ravel()
     grad_quad = _gauss4(qx0, qx0 + h / 2.0, qy0, qy0 + h / 2.0,
                         np.arange(ngrad))
 

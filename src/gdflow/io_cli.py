@@ -48,9 +48,7 @@ def parse_config(path):
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
+    return f"{v:.6g}" if isinstance(v, float) else str(v)
 
 
 def write_csv(path, fieldnames, rows):

@@ -1,18 +1,17 @@
-"""Sparse direct solvers for the per-step systems.
+"""Sparse solvers for the per-step systems.
 
-Every system is solved by one sparse LU with a minimum-degree ordering of
-A^T + A, and every solution is checked against an independently recomputed
+Systems are solved with sparse LUs (minimum-degree ordering of A^T + A),
+and every solution is checked against an independently recomputed
 residual.  ``spd_solver`` factors once and returns a solve for any number
 of right-hand sides.  Given m, it solves the zero-mean elliptic system
 (A + m m^T) x = b, where A annihilates constants: the last dof is pinned,
 A x0 = b - s m is solved with s = sum(b) / sum(m), and a constant shift
-gives m^T x = s, which holds for every exact solution.
-``FactorizationCache`` solves a sequence of transport systems with few
-factorisations: a matrix on the pattern of the last factored one A0 that
-differs from it in at most MAX_UPDATE_RANK columns is solved by a
-Sherman-Morrison-Woodbury update of the LU of A0; a larger change, or a
-matrix on another pattern, is factored.  The update columns take at most
-MAX_UPDATE_RANK * n doubles.
+gives m^T x = s, which holds for every exact solution.  ``solve_pcg``
+solves an SPD system by CG preconditioned with the LU of a spectrally
+equivalent one: ``quality`` solves (M + G) w = r with the LU of
+E = G + m m^T, and spectrum(E^-1 (M + G)) lies in [1, 1 + C_D^2] on the
+unit square.  ``FactorizationCache`` solves a sequence of transport
+systems with few factorisations, by low-rank updates of one LU.
 """
 
 import numpy as np
@@ -26,6 +25,8 @@ RESIDUAL_TOL = 1e-10
 ZERO_ROW_SUM_TOL = 1e-10
 # changed columns a FactorizationCache solves as an update of its last LU
 MAX_UPDATE_RANK = 32
+# iterations of a preconditioned CG solve before it fails
+CG_MAX_ITER = 50
 
 
 class SolverError(RuntimeError):
@@ -70,7 +71,7 @@ def _checked(A, x, b, bnorm, rank_one=None):
     """x, unless ||(A + m m^T) x - b|| > RESIDUAL_TOL * ||b||."""
     res = residual_norm(A, x, b, rank_one=rank_one)
     if not res <= RESIDUAL_TOL * bnorm:
-        raise SolverError(f"LU solve residual {res:.3e} > "
+        raise SolverError(f"solve residual {res:.3e} > "
                           f"{RESIDUAL_TOL * bnorm:.3e}", residual=res)
     return x
 
@@ -108,8 +109,6 @@ def spd_solver(A, rank_one=None):
 
     def solve(b):
         b, bnorm = _finite_rhs(b)
-        if bnorm == 0.0:
-            return np.zeros(n)
         return _checked(A, direct(b), b, bnorm, rank_one)
     return solve
 
@@ -117,6 +116,20 @@ def spd_solver(A, rank_one=None):
 def solve_spd(A, b, rank_one=None):
     """Solve (A + m m^T) x = b once; see ``spd_solver``."""
     return spd_solver(A, rank_one)(b)
+
+
+def solve_pcg(A, b, precond):
+    """Solve the SPD system A x = b by conjugate gradients preconditioned
+    with ``precond``, the solve of a spectrally equivalent system.  Rejects
+    a non-finite b; raises SolverError unless CG converges within
+    CG_MAX_ITER iterations and ||A x - b|| <= RESIDUAL_TOL * ||b||."""
+    b, bnorm = _finite_rhs(b)
+    x, info = spla.cg(A, b, rtol=0.1 * RESIDUAL_TOL, atol=0.0,
+                      maxiter=CG_MAX_ITER,
+                      M=spla.LinearOperator(A.shape, matvec=precond))
+    if info != 0:
+        raise SolverError(f"CG did not converge in {CG_MAX_ITER} iterations")
+    return _checked(A, x, b, bnorm)
 
 
 def solve_general(A, b):

@@ -100,9 +100,7 @@ class TriangularMesh:
 
 
 def _signed_areas(vertices, triangles):
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
+    p0, p1, p2 = (vertices[triangles[:, k]] for k in range(3))
     return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
                   - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
 
@@ -178,9 +176,8 @@ def build_structured_triangulation(reps, L):
 def build_dual(mesh):
     """Barycentric dual-cell measures: |K_i| = sum of incident areas / 3."""
     areas = mesh.areas()
-    measures = np.zeros(mesh.n_vertices)
-    np.add.at(measures, mesh.triangles.ravel(),
-              np.repeat(areas / 3.0, 3))
+    measures = np.bincount(mesh.triangles.ravel(), np.repeat(areas / 3.0, 3),
+                           mesh.n_vertices)
     if np.any(measures <= 0):
         raise MeshError("isolated vertex: zero dual measure")
     return measures

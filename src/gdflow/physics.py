@@ -90,11 +90,7 @@ def tensor_D_field(params, U, h=None):
     e12 = U[:, 0] * U[:, 1] / safe ** 2
     D11 = Dm + norm * ((Dl - Dt) * e11 + Dt)
     D22 = Dm + norm * ((Dl - Dt) * e22 + Dt)
-    D12 = norm * (Dl - Dt) * e12
-    zero = norm == 0.0
-    D11[zero] = Dm
-    D22[zero] = Dm
-    D12[zero] = 0.0
+    D12 = norm * (Dl - Dt) * e12  # at U = 0: D11 = D22 = Dm, D12 = 0
     if h is not None:
         if h <= 0:
             raise ValueError(f"mesh size must be positive, got {h}")

@@ -1,6 +1,14 @@
 """Numerical estimators of the discretisation quality measures: the
-coercivity constant, the consistency defect of a smooth test function, and
-the limit-conformity defect of a divergence-compatible test field.
+coercivity constant C_D, the consistency defect S_D of a smooth test
+function, and the limit-conformity defect W_D of a divergence-compatible
+test field.
+
+All three share one LU of the pinned elliptic matrix E = G + m m^T (G the
+gradient Gram matrix, m the reconstruction measures): C_D and W_D solve
+with it, and it preconditions the CG solve of S_D's (M + G) w = r, M =
+diag(m).  As (m^T x)^2 <= |Omega| x^T M x and x^T M x <= C_D^2 x^T E x,
+spectrum(E^-1 (M + G)) lies in [1, 1 + C_D^2] on the unit square, so CG
+takes a number of iterations independent of the mesh.
 """
 
 from dataclasses import dataclass
@@ -30,9 +38,18 @@ class QualityReport:
     limit_conformity: float
 
 
+_ell = (None, None)  # (gd, solve) of the last discretisation asked for
+
+
 def _ell_solver(gd):
-    """Solver of the zero-mean elliptic system (G + m m^T) x = b."""
-    return linalg.spd_solver(gd.grad_gram(), rank_one=gd.recon_measures)
+    """Solver of E x = (G + m m^T) x = b, factored once while ``gd`` is the
+    last discretisation asked for.  Only that LU is kept, as in
+    io_cli._geometry: one per gd would hold a whole sequence's LUs."""
+    global _ell
+    if _ell[0] is not gd:
+        _ell = None, None  # free the old LU before SuperLU allocates anew
+        _ell = gd, linalg.spd_solver(gd.grad_gram(), gd.recon_measures)
+    return _ell[1]
 
 
 def coercivity_constant(gd, seed=0):
@@ -47,21 +64,23 @@ def coercivity_constant(gd, seed=0):
     for _ in range(POWER_MAX_ITER):
         y = ell_solve(m * x)
         y /= np.linalg.norm(y)
-        num = float(y @ (m * y))
-        den = gd.norm_ell(y) ** 2
-        lam = num / den
+        lam = float(y @ (m * y)) / gd.norm_ell(y) ** 2
         if abs(lam - lam_prev) <= POWER_TOL * max(lam, 1e-30):
             return float(np.sqrt(lam))
-        lam_prev = lam
-        x = y
+        lam_prev, x = lam, y
     raise QualityError(
         f"power iteration did not converge (last eigenvalue {lam_prev:.6e})")
 
 
 def _cell_integrals(quad, values, n_cells):
-    out = np.zeros(n_cells)
-    np.add.at(out, quad.cells, quad.weights * values)
-    return out
+    return np.bincount(quad.cells, quad.weights * values, n_cells)
+
+
+def _grad_load(gd, vals):
+    """Load vector of int(grad w . v), v given at the grad_quad points."""
+    gq, ng = gd.grad_quad, gd.n_grad_cells
+    return (gd.grad_x.T @ _cell_integrals(gq, vals[:, 0], ng)
+            + gd.grad_y.T @ _cell_integrals(gq, vals[:, 1], ng))
 
 
 def consistency_defect(gd, f, grad_f):
@@ -76,54 +95,42 @@ def consistency_defect(gd, f, grad_f):
     g_vals = np.asarray(grad_f(gq.points), dtype=float)
 
     rhs_pi = _cell_integrals(rq, f_vals, gd.ndof)
-    rhs_gx = gd.grad_x.T @ _cell_integrals(gq, g_vals[:, 0], gd.n_grad_cells)
-    rhs_gy = gd.grad_y.T @ _cell_integrals(gq, g_vals[:, 1], gd.n_grad_cells)
+    rhs_g = _grad_load(gd, g_vals)
     A = (sp.diags(gd.recon_measures) + gd.grad_gram()).tocsr()
-    w = linalg.solve_spd(A, rhs_pi + rhs_gx + rhs_gy)
+    w = linalg.solve_pcg(A, rhs_pi + rhs_g, _ell_solver(gd))
 
-    f_sq = float(rq.weights @ f_vals ** 2)
-    g_sq = float(gq.weights @ (g_vals ** 2).sum(axis=1))
     gw = gd.grad(w)
-    err_pi = (gd.recon_measures @ w ** 2
-              - 2.0 * float(w @ rhs_pi) + f_sq)
-    err_g = (gd.grad_measures @ (gw ** 2).sum(axis=1)
-             - 2.0 * float(w @ (rhs_gx + rhs_gy)) + g_sq)
+    err_pi = (gd.recon_measures @ w ** 2 - 2.0 * float(w @ rhs_pi)
+              + float(rq.weights @ f_vals ** 2))
+    err_g = (gd.grad_measures @ (gw ** 2).sum(axis=1) - 2.0 * float(w @ rhs_g)
+             + float(gq.weights @ (g_vals ** 2).sum(axis=1)))
     return float(np.sqrt(max(err_pi, 0.0)) + np.sqrt(max(err_g, 0.0)))
 
 
 def _check_normal_trace(phi, L):
-    """Sample the normal trace at 256 midpoints per side of (0, L)^2."""
+    """Sample the normal trace at 256 midpoints per side of (0, L)^2: the
+    component of phi along the axis that the side is normal to."""
     s = (np.arange(256) + 0.5) / 256 * L
-    zeros = np.zeros_like(s)
-    full = np.full_like(s, L)
-    for pts, normal in (
-            (np.column_stack([s, zeros]), (0.0, -1.0)),
-            (np.column_stack([s, full]), (0.0, 1.0)),
-            (np.column_stack([zeros, s]), (-1.0, 0.0)),
-            (np.column_stack([full, s]), (1.0, 0.0))):
+    for axis, at in ((1, 0.0), (1, L), (0, 0.0), (0, L)):
+        pts = np.column_stack([s, s])
+        pts[:, axis] = at
         vals = np.asarray(phi(pts), dtype=float)
-        trace = vals[:, 0] * normal[0] + vals[:, 1] * normal[1]
-        scale = max(float(np.abs(vals).max()), 1.0)
-        if np.any(np.abs(trace) > 1e-10 * scale):
+        trace = np.abs(vals[:, axis])
+        if np.any(trace > 1e-10 * max(float(np.abs(vals).max()), 1.0)):
             raise ValueError(
                 "test field has nonzero normal trace on the boundary "
-                f"(max {np.abs(trace).max():.3e})")
+                f"(max {trace.max():.3e})")
 
 
 def limit_conformity_defect(gd, phi, div_phi):
     """Dual elliptic norm of the divergence-formula functional
     w -> int(grad w . phi + Pi w * div phi); ``phi`` must have vanishing
     normal trace on the boundary."""
-    L = float(np.sqrt(gd.domain_area))
-    _check_normal_trace(phi, L)
+    _check_normal_trace(phi, float(np.sqrt(gd.domain_area)))
     rq, gq = gd.recon_quad, gd.grad_quad
     phi_vals = np.asarray(phi(gq.points), dtype=float)
     div_vals = np.asarray(div_phi(rq.points), dtype=float)
-    ell = (gd.grad_x.T @ _cell_integrals(gq, phi_vals[:, 0], gd.n_grad_cells)
-           + gd.grad_y.T @ _cell_integrals(gq, phi_vals[:, 1], gd.n_grad_cells)
-           + _cell_integrals(rq, div_vals, gd.ndof))
-    if not np.any(ell):
-        return 0.0
+    ell = _grad_load(gd, phi_vals) + _cell_integrals(rq, div_vals, gd.ndof)
     x = _ell_solver(gd)(ell)
     return float(np.sqrt(max(float(ell @ x), 0.0)))
 
@@ -142,15 +149,12 @@ def default_test_function():
 
 
 def default_test_field():
-    """Divergence-free curl field with zero normal trace on the unit square."""
-    def stream_grad(pts):
+    """Divergence-free curl (-gy, gx) of x^2 (1 - x)^2 y^2 (1 - y)^2, with
+    zero normal trace on the unit square."""
+    def phi(pts):
         x, y = pts[:, 0], pts[:, 1]
         gx = (2 * x * (1 - x) ** 2 - 2 * x ** 2 * (1 - x)) * y ** 2 * (1 - y) ** 2
         gy = x ** 2 * (1 - x) ** 2 * (2 * y * (1 - y) ** 2 - 2 * y ** 2 * (1 - y))
-        return gx, gy
-
-    def phi(pts):
-        gx, gy = stream_grad(pts)
         return np.column_stack([-gy, gx])
 
     def div_phi(pts):

@@ -24,6 +24,7 @@ from gdflow.assembly import (
     solve_pressure,
     transport_step,
 )
+from gdflow import gd as gd_module
 from gdflow.gd import scheme_a, scheme_b
 from gdflow.linalg import residual_norm
 from gdflow.mesh import build_cartesian, build_dual, \
@@ -570,6 +571,16 @@ class TestAssemblyPattern:
             assert not getattr(P, name).flags.writeable, name
         for a in gd._local:
             assert not a.flags.writeable
+
+    def test_cross_pattern_matches_products(self, tmp_path, geometry):
+        # scheme b stores every local dof in overlap and takes the plain
+        # pattern without forming the products
+        gd = DISCRETISATIONS[geometry](tmp_path)
+        ref = gd_module._build_pattern(gd, gd._structure(cross=True))
+        P = gd.pattern(True)
+        assert (P is gd.pattern()) == (gd.kind == "b")
+        for name in ("indptr", "indices", "pos", "diag"):
+            assert np.array_equal(getattr(P, name), getattr(ref, name)), name
 
     def test_local_table_matches_operators(self, tmp_path, geometry):
         """rows[i][:, g] holds row g of the i-th of grad_x, grad_y and

@@ -600,3 +600,10 @@ class TestCli:
         assert main(["quality", "--scheme", "a", "--levels", "1",
                      "--base", "4", "--out-dir", str(tmp_path)]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_quality_cg_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        # one CG iteration cannot solve the consistency system
+        monkeypatch.setattr(linalg, "CG_MAX_ITER", 1)
+        assert main(["quality", "--scheme", "b", "--levels", "1",
+                     "--base", "4", "--out-dir", str(tmp_path)]) == 2
+        assert "CG did not converge" in capsys.readouterr().err

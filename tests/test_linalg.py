@@ -12,6 +12,7 @@ from gdflow.linalg import (
     SolverError,
     residual_norm,
     solve_general,
+    solve_pcg,
     solve_spd,
     spd_solver,
 )
@@ -108,6 +109,46 @@ class TestSpdSolver:
         assert np.allclose(solve(np.zeros(gd.ndof)), 0.0)
         with pytest.raises(SolverError, match="non-finite"):
             solve(np.full(gd.ndof, np.inf))
+
+
+class TestSolvePcg:
+    """(M + G) w = b, with M the reconstruction masses, preconditioned by
+    the LU of the pinned elliptic matrix G + m m^T, as in
+    quality.consistency_defect."""
+
+    @staticmethod
+    def system(gd):
+        G, m = gd.grad_gram(), gd.recon_measures
+        return (sp.diags(m) + G).tocsr(), spd_solver(G, rank_one=m)
+
+    @pytest.mark.parametrize("make", [lambda: scheme_a(build_cartesian(16, 1.0)),
+                                      lambda: scheme_b_reps(8)],
+                             ids=["scheme_a_n16", "scheme_b_reps8"])
+    def test_matches_direct_lu(self, make):
+        A, precond = self.system(make())
+        b = np.random.default_rng(2).standard_normal(A.shape[0])
+        x = solve_pcg(A, b, precond)
+        direct = solve_spd(A, b)
+        assert np.linalg.norm(x - direct) <= 1e-11 * np.linalg.norm(direct)
+
+    def test_zero_rhs(self):
+        A, precond = self.system(scheme_b_reps(2))
+        assert np.array_equal(solve_pcg(A, np.zeros(A.shape[0]), precond),
+                              np.zeros(A.shape[0]))
+
+    def test_non_finite_rhs_raises(self):
+        A, precond = self.system(scheme_b_reps(2))
+        b = np.ones(A.shape[0])
+        b[3] = np.nan
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_pcg(A, b, precond)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "CG_MAX_ITER", 1)
+        A, precond = self.system(scheme_a(build_cartesian(8, 1.0)))
+        b = np.random.default_rng(4).standard_normal(A.shape[0])
+        with pytest.raises(SolverError, match="did not converge in 1 "):
+            solve_pcg(A, b, precond)
 
 
 class TestSolveGeneral:

@@ -25,6 +25,28 @@ def make_b(reps):
     return scheme_b(mesh, build_dual(mesh))
 
 
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """(factored, solves): the shape of every matrix splu factors, and one
+    entry per solve with one of those LUs."""
+    factored, solves = [], []
+    real = linalg.spla.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            solves.append(1)
+            return self.lu.solve(b)
+
+    def counting(A, **kwargs):
+        factored.append(A.shape)
+        return CountingLU(real(A, **kwargs))
+    monkeypatch.setattr(linalg.spla, "splu", counting)
+    return factored, solves
+
+
 def dense_ell_matrix(gd):
     K = gd.grad_gram().toarray()
     m = gd.recon_measures
@@ -63,24 +85,10 @@ class TestCoercivity:
                                            (lambda: make_a(6), 1e-13),
                                            (lambda: make_b(3), 1e-8)],
                              ids=["a_n6", "a_n6_tight_tol", "b_reps3"])
-    def test_factors_once_per_call(self, monkeypatch, make, tol):
+    def test_factors_once_per_call(self, monkeypatch, lu_calls, make, tol):
         monkeypatch.setattr(quality, "POWER_TOL", tol)
         gd = make()
-        factored, solves = [], []
-        real = linalg.spla.splu
-
-        class CountingLU:
-            def __init__(self, lu):
-                self.lu = lu
-
-            def solve(self, b):
-                solves.append(1)
-                return self.lu.solve(b)
-
-        def counting(A, **kwargs):
-            factored.append(A.shape)
-            return CountingLU(real(A, **kwargs))
-        monkeypatch.setattr(linalg.spla, "splu", counting)
+        factored, solves = lu_calls
         coercivity_constant(gd)
         assert len(solves) > 2   # several power iterations ...
         assert factored == [(gd.ndof - 1, gd.ndof - 1)]   # ... one pinned LU
@@ -181,6 +189,57 @@ class TestLimitConformity:
         oracle = np.sqrt(ell @ np.linalg.solve(H, ell))
         assert np.isclose(limit_conformity_defect(gd, phi, div_phi), oracle,
                           atol=1e-8)
+
+
+class TestSharedFactorisation:
+    """C_D and W_D solve with the LU of the pinned elliptic matrix E, which
+    also preconditions the CG solve of S_D; the LU of the last
+    discretisation asked for is kept."""
+
+    def test_three_indicators_factor_once(self, lu_calls):
+        factored, _ = lu_calls
+        first, second = make_a(6), make_b(3)
+        pinned = [(gd.ndof - 1, gd.ndof - 1) for gd in (first, second)]
+        quality_report(first)
+        assert factored == pinned[:1]   # none of shape (n, n)
+        quality_report(second)
+        assert factored == pinned
+        quality_report(first)
+        assert factored == pinned + pinned[:1]
+
+    @pytest.mark.parametrize("make", [lambda: make_a(64), lambda: make_b(32)],
+                             ids=["a_n64", "b_reps32"])
+    def test_cg_iterations_mesh_independent(self, monkeypatch, make):
+        iters = []
+        real = linalg.spla.cg
+
+        def counting(*args, **kwargs):
+            return real(*args, callback=lambda xk: iters.append(1), **kwargs)
+        monkeypatch.setattr(linalg.spla, "cg", counting)
+        consistency_defect(make(), *default_test_function())
+        assert 0 < len(iters) <= 12
+
+    @pytest.mark.parametrize("make", [lambda: make_a(16), lambda: make_b(8)],
+                             ids=["a_n16", "b_reps8"])
+    def test_consistency_matches_direct_lu(self, monkeypatch, make):
+        gd = make()
+        f, grad_f = default_test_function()
+        pcg = consistency_defect(gd, f, grad_f)
+        monkeypatch.setattr(linalg, "solve_pcg",
+                            lambda A, b, precond: linalg.solve_spd(A, b))
+        direct = consistency_defect(gd, f, grad_f)
+        assert abs(pcg - direct) <= 1e-11 * direct
+
+    def test_cell_integrals_match_scatter_add(self):
+        f, _ = default_test_function()
+        for gd in (make_a(8), make_b(8)):
+            for quad, n in ((gd.recon_quad, gd.ndof),
+                            (gd.grad_quad, gd.n_grad_cells)):
+                vals = f(quad.points)
+                ref = np.zeros(n)
+                np.add.at(ref, quad.cells, quad.weights * vals)
+                assert np.array_equal(quality._cell_integrals(quad, vals, n),
+                                      ref)
 
 
 class TestQualityReport:
