@@ -144,7 +144,7 @@ def convection_matrix(gd, U, variant, cross=False):
     applied to the argument before multiplying."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown convection variant {variant!r}")
-    _, gx, gy, overlap = gd._local
+    _, gx, gy, overlap = gd.local
     mg = gd.grad_measures
     flux = gx * (mg * U[:, 0]) + gy * (mg * U[:, 1])
     C = gd.pattern(cross).assemble([(flux, np.full(len(mg), -1.0), overlap)])

@@ -29,10 +29,14 @@ class GradientDiscretisation:
     reconstruction cells are in one-to-one correspondence with the dofs), so
     the reconstruction Pi is the identity on dof vectors.
 
-    ``overlap[g, d]`` is the fraction of gradient cell g on which the
-    function reconstruction equals dof d; rows sum to one.  It gives exact
-    quadrature of products of a dof-wise nonlinearity with gradient-cell
-    quantities.
+    The local table ``local`` = (dofs, gx, gy, ov) defines it cell by cell:
+    the k ascending local dofs dofs[:, g] of gradient cell g and on them the
+    rows of grad_x, grad_y and overlap, as read-only (k, ngrad) arrays.
+    ``overlap[g, d]`` is the fraction of g on which the function
+    reconstruction equals dof d; rows sum to one.  It gives exact quadrature
+    of products of a dof-wise nonlinearity with gradient-cell quantities.
+    The CSR operators and both assembly patterns are built from the table
+    on first use.
     """
 
     kind: str                 # "a" | "b"
@@ -40,9 +44,7 @@ class GradientDiscretisation:
     anchors: np.ndarray = field(repr=False)         # (ndof, 2)
     recon_measures: np.ndarray = field(repr=False)  # (ndof,)
     grad_measures: np.ndarray = field(repr=False)   # (ngrad,)
-    grad_x: sp.csr_matrix = field(repr=False)       # (ngrad, ndof)
-    grad_y: sp.csr_matrix = field(repr=False)       # (ngrad, ndof)
-    overlap: sp.csr_matrix = field(repr=False)      # (ngrad, ndof)
+    local: tuple = field(repr=False)                # 4 x (k, ngrad)
     h: float
     domain_area: float
     recon_quad: Quadrature = field(repr=False)
@@ -52,6 +54,17 @@ class GradientDiscretisation:
     @property
     def n_grad_cells(self):
         return len(self.grad_measures)
+
+    grad_x = cached_property(lambda self: self._csr(self.local[1]))
+    grad_y = cached_property(lambda self: self._csr(self.local[2]))
+    overlap = cached_property(lambda self: self._csr(self.local[3]))
+
+    def _csr(self, row):
+        """The (ngrad, ndof) operator of the nonzeros of a table row."""
+        row, nz = row.T, row.T != 0
+        return sp.csr_matrix((row[nz], self.local[0].T[nz],
+                              np.r_[0, np.cumsum(nz.sum(axis=1))]),
+                             shape=(self.n_grad_cells, self.ndof))
 
     def pi(self, w):
         """Reconstructed cell values: one per dof, so ``w`` itself."""
@@ -79,33 +92,13 @@ class GradientDiscretisation:
         It lies on ``pattern(cross)``, cross telling whether a12 is nonzero
         anywhere, and entries that cancel stay stored as zeros; the values
         are rounded as by the sparse products grad^T diag(|g| a) grad."""
-        _, gx, gy, _ = self._local
+        _, gx, gy, _ = self.local
         mg = self.grad_measures
         terms = [(gx, mg * a11, gx), (gy, mg * a22, gy)]
         cross = a12 is not None and bool(np.any(a12))
         if cross:
             terms += [(gx, mg * a12, gy), (gy, mg * a12, gx)]
         return self.pattern(cross).assemble(terms)
-
-    @cached_property
-    def _local(self):
-        """(dofs, gx, gy, ov): the k local dofs dofs[:, g] of gradient cell
-        g, the columns of its grad_x, grad_y and overlap rows in order, and
-        those rows on them, as read-only (k, ngrad) arrays; the cell axis
-        is last, so that array operations run along it."""
-        ng, n = self.n_grad_cells, self.ndof
-        ops = (self.grad_x, self.grad_y, self.overlap)
-        keys = [np.repeat(np.arange(ng), np.diff(A.indptr)) * n + A.indices
-                for A in ops]
-        union = np.unique(np.concatenate(keys))
-        k = len(union) // ng
-        if not np.array_equal(union // n, np.repeat(np.arange(ng), k)):
-            raise ValueError("gradient cells of unequal local dof counts")
-        rows = [np.zeros((k, ng)) for _ in ops]
-        for row, A, key in zip(rows, ops, keys):
-            at = np.searchsorted(union, key)
-            row[at % k, at // k] = A.data
-        return _read_only((union % n).reshape(ng, k).T, *rows)
 
     def pattern(self, cross=False):
         """The ``AssemblyPattern`` of this discretisation, built on first
@@ -114,39 +107,36 @@ class GradientDiscretisation:
         (5-point on scheme a); the convection lies in both."""
         return self._cross_pattern if cross else self._plain_pattern
 
+    def _pairs(self, cross):
+        """The (k, k, ngrad) mask of local pairs x(x)x | y(x)y, or g(x)g if
+        ``cross``, and g(x)o | o(x)g, x, y, o the nonzeros of gx, gy, ov."""
+        x, y, o = (row != 0 for row in self.local[1:])
+        g = x | y
+        terms = [(g, g)] if cross else [(x, x), (y, y)]
+        return np.any([u[:, None] & v[None]
+                       for u, v in terms + [(g, o), (o, g)]], axis=0)
+
     @cached_property
     def _plain_pattern(self):
-        return _build_pattern(self, self._structure(cross=False))
+        return _build_pattern(self, self._pairs(cross=False))
 
     @cached_property
     def _cross_pattern(self):
-        # when overlap stores every local dof (scheme b), Sg^T So holds the
-        # pairs of Sg^T Sg, so the cross pattern is the plain one
-        if np.all(np.diff(self.overlap.indptr) == len(self._local[0])):
+        pairs = self._pairs(cross=True)
+        if np.array_equal(pairs, self._pairs(cross=False)):  # scheme b
             return self._plain_pattern
-        return _build_pattern(self, self._structure(cross=True))
-
-    def _structure(self, cross):
-        """The pairs of the plain or the cross pattern, which holds the
-        plain one: Sx^T Sx + Sy^T Sy or Sg^T Sg, plus Sg^T So + So^T Sg, for
-        the operators' structure Sx, Sy, So (ones on the stored entries)."""
-        sx, sy, so = (sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr),
-                                    shape=A.shape)
-                      for A in (self.grad_x, self.grad_y, self.overlap))
-        sg = sx + sy
-        S = sg.T @ sg if cross else sx.T @ sx + sy.T @ sy
-        return S + sg.T @ so + so.T @ sg
+        return _build_pattern(self, pairs)
 
 
 @dataclass(frozen=True)
 class AssemblyPattern:
     """The sorted, symmetric CSR pattern P of the matrices assembled on a
     gradient discretisation, sums over the gradient cells g of k x k blocks
-    on the local dofs of g.  ``pos[g, i, j]`` is the position in P of the
-    local entry (i, j), or nnz where P has none; ``diag`` gives the
-    position of every diagonal entry and ``free_blocks`` the free-block
-    maps of Dirichlet dof sets.  The arrays are read-only: every matrix on
-    P shares them."""
+    on the local dofs of g; P holds the pairs the local table couples.
+    ``pos[g, i, j]`` is the position in P of the local entry (i, j), or nnz
+    where P has none; ``diag`` gives the position of every diagonal entry
+    and ``free_blocks`` the free-block maps of Dirichlet dof sets.  The
+    arrays are read-only: every matrix on P shares them."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -184,20 +174,33 @@ class AssemblyPattern:
 _CHUNK = 8192
 
 
-def _build_pattern(gd, S):
-    """The ``AssemblyPattern`` on the stored entries of S, with pos built
-    pair by pair of local dofs to keep the temporaries small; S holds the
-    diagonal, as every dof lies in some gradient cell."""
-    S.sort_indices()
-    n, dofs = gd.ndof, gd._local[0]
-    keys = np.repeat(np.arange(n), np.diff(S.indptr)) * n + S.indices
-    pos = np.empty((dofs.shape[1],) + (len(dofs),) * 2, dtype=np.int32)
-    for i, j in np.ndindex(pos.shape[1:]):
+def _build_pattern(gd, pairs):
+    """The ``AssemblyPattern`` of the local ``pairs`` of gd, which hold the
+    diagonal; pos is searched pair by pair to keep the temporaries small."""
+    n, dofs = gd.ndof, gd.local[0]
+    k = len(dofs)
+    keys = np.unique(np.concatenate([(dofs[i] * n + dofs[j])[pairs[i, j]]
+                                     for i, j in np.ndindex(k, k)]))
+    indptr = np.searchsorted(keys // n, np.arange(n + 1))
+    pos = np.empty((dofs.shape[1], k, k), dtype=np.int32)
+    for i, j in np.ndindex(k, k):
         key = dofs[i] * n + dofs[j]
         at = np.searchsorted(keys, key)
-        pos[:, i, j] = np.where(keys.take(at, mode="clip") == key, at, S.nnz)
-    diag = np.searchsorted(keys, np.arange(n) * (n + 1)).astype(np.int32)
-    return AssemblyPattern(*_read_only(S.indptr, S.indices, pos, diag))
+        pos[:, i, j] = np.where(keys.take(at, mode="clip") == key, at,
+                                len(keys))
+    diag = np.searchsorted(keys, np.arange(n) * (n + 1))
+    return AssemblyPattern(*_read_only(*(
+        a.astype(np.int32, copy=False) for a in (indptr, keys % n, pos, diag))))
+
+
+def _local_table(dofs, gx, gy, ov):
+    """The read-only local table of k rows of dofs and values, the dofs
+    of each cell ascending and int64: pattern keys overflow int32."""
+    dofs = np.reshape(dofs, (len(dofs), -1)).astype(np.int64)
+    order = np.argsort(dofs, axis=0)
+    return _read_only(*(np.take_along_axis(np.reshape(a, dofs.shape),
+                                           order, axis=0)
+                        for a in (dofs, gx, gy, ov)))
 
 
 def _read_only(*arrays):
@@ -238,19 +241,15 @@ def scheme_a(grid):
     da, db = (np.array(d)[:, None] for d in ((0, 0, 1, 1), (0, 1, 0, 1)))
     a, b = ii + da, jj + db
     # x-difference along the horizontal edge at the corner's height,
-    # y-difference along the vertical edge at the corner's abscissa
-    gx_cols = np.stack([(ii + 1) + b * stride, ii + b * stride], axis=-1)
-    gy_cols = np.stack([a + (jj + 1) * stride, a + jj * stride], axis=-1)
+    # y-difference along the vertical edge at the corner's abscissa: +-1/h
+    # on the corner, -+1/h on its neighbour along x, resp. y
+    dofs = [a + b * stride, (2 * ii + 1 - a) + b * stride,
+            a + (2 * jj + 1 - b) * stride]
+    sx, sy = (np.broadcast_to((2 * d - 1.0) / h, a.shape) for d in (da, db))
+    zero, one = np.zeros(a.shape), np.ones(a.shape)
+    local = _local_table(dofs, [sx, -sx, zero], [sy, zero, -sy],
+                         [one, zero, zero])
     ngrad = 4 * N * N
-    rows = np.repeat(np.arange(ngrad), 2)
-    vals = np.tile([1.0 / h, -1.0 / h], ngrad)  # both difference quotients
-    grad_x = sp.csr_matrix((vals, (rows, gx_cols.ravel())),
-                           shape=(ngrad, ndof))
-    grad_y = sp.csr_matrix((vals, (rows, gy_cols.ravel())),
-                           shape=(ngrad, ndof))
-    overlap = sp.csr_matrix((np.ones(ngrad),
-                             (np.arange(ngrad), (a + b * stride).ravel())),
-                            shape=(ngrad, ndof))
     grad_measures = np.full(ngrad, h * h / 4.0)
 
     qx0 = (ii * h + da * h / 2.0).ravel()
@@ -264,8 +263,7 @@ def scheme_a(grid):
     return GradientDiscretisation(
         kind="a", ndof=ndof, anchors=grid.nodes,
         recon_measures=grid.recon_areas, grad_measures=grad_measures,
-        grad_x=grad_x, grad_y=grad_y, overlap=overlap,
-        h=h, domain_area=grid.L ** 2,
+        local=local, h=h, domain_area=grid.L ** 2,
         recon_quad=recon_quad, grad_quad=grad_quad, geometry=grid)
 
 
@@ -282,12 +280,7 @@ def scheme_b(mesh, measures):
     pj, pk = np.roll(p, -1, axis=1), np.roll(p, -2, axis=1)  # next corners
     gx = (pj[..., 1] - pk[..., 1]) / (2.0 * areas[:, None])
     gy = (pk[..., 0] - pj[..., 0]) / (2.0 * areas[:, None])
-    rows = np.repeat(np.arange(nt), 3)
-    cols = tri.ravel()
-    grad_x = sp.csr_matrix((gx.ravel(), (rows, cols)), shape=(nt, ndof))
-    grad_y = sp.csr_matrix((gy.ravel(), (rows, cols)), shape=(nt, ndof))
-    overlap = sp.csr_matrix((np.full(3 * nt, 1.0 / 3.0), (rows, cols)),
-                            shape=(nt, ndof))
+    local = _local_table(tri.T, gx.T, gy.T, np.full((3, nt), 1.0 / 3.0))
 
     edges = p - np.roll(p, 1, axis=1)
     h = float(np.sqrt((edges ** 2).sum(axis=2)).max())
@@ -308,6 +301,5 @@ def scheme_b(mesh, measures):
     return GradientDiscretisation(
         kind="b", ndof=ndof, anchors=mesh.vertices,
         recon_measures=measures, grad_measures=areas,
-        grad_x=grad_x, grad_y=grad_y, overlap=overlap,
-        h=h, domain_area=float(areas.sum()),
+        local=local, h=h, domain_area=float(areas.sum()),
         recon_quad=recon_quad, grad_quad=grad_quad, geometry=mesh)

@@ -240,6 +240,7 @@ def _cmd_run(args):
     if args.out_dir:
         config = RunConfig(**{**config.__dict__, "out_dir": args.out_dir})
     out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable path fails early
 
     def snapshot(step, t, state):
         vtk_path = out / f"fields_{step}.vtk"
@@ -367,7 +368,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (linalg.SolverError, assembly.PicardError,

@@ -105,9 +105,10 @@ def _signed_areas(vertices, triangles):
                   - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
 
 
-def _unique_edges(triangles):
-    """Edges as sorted vertex pairs (i < j) and how many triangles share each."""
-    pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+def _unique_edges(triangles, directed=False):
+    """Edges (i, j), i < j unless ``directed``, and their triangle counts."""
+    pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    pairs = pairs if directed else np.sort(pairs, axis=1)
     n = int(pairs.max(initial=0)) + 1  # one integer key per pair
     keys, counts = np.unique(pairs[:, 0] * n + pairs[:, 1], return_counts=True)
     return np.column_stack(np.divmod(keys, n)), counts
@@ -130,11 +131,14 @@ def validate_mesh(mesh, area=None):
         bad = int(np.argmax(areas <= 0))
         raise MeshError(f"triangle {bad} is inverted or degenerate "
                         f"(signed area {areas[bad]:.3e})")
-    edges, counts = _unique_edges(mesh.triangles)
-    if np.any(counts > 2):
-        k = int(np.argmax(counts > 2))
-        raise MeshError(f"edge {tuple(edges[k].tolist())} shared by "
-                        f"{counts[k]} triangles")
+    # two triangles at most per edge, running it in opposite directions
+    for directed, most in ((False, 2), (True, 1)):
+        edges, counts = _unique_edges(mesh.triangles, directed)
+        if np.any(counts > most):
+            k = int(np.argmax(counts > most))
+            raise MeshError(f"{'directed ' * directed}edge "
+                            f"{tuple(edges[k].tolist())} shared by "
+                            f"{counts[k]} triangles")
     if area is not None and abs(total - area) > 1e-12 * area:
         raise MeshError(f"triangle areas sum to {total!r}, expected {area!r}")
     return mesh

@@ -38,18 +38,19 @@ class QualityReport:
     limit_conformity: float
 
 
-_ell = (None, None)  # (gd, solve) of the last discretisation asked for
+_ell = (None, None, None)  # (gd, G, solve) of the last discretisation
 
 
-def _ell_solver(gd):
-    """Solver of E x = (G + m m^T) x = b, factored once while ``gd`` is the
-    last discretisation asked for.  Only that LU is kept, as in
-    io_cli._geometry: one per gd would hold a whole sequence's LUs."""
+def _elliptic(gd):
+    """The Gram matrix G of ``gd`` and the solver of E x = (G + m m^T) x = b,
+    kept while ``gd`` is the last discretisation asked for.  Only that LU is
+    kept, as in io_cli._geometry: one per gd would hold a sequence's LUs."""
     global _ell
     if _ell[0] is not gd:
-        _ell = None, None  # free the old LU before SuperLU allocates anew
-        _ell = gd, linalg.spd_solver(gd.grad_gram(), gd.recon_measures)
-    return _ell[1]
+        _ell = None, None, None  # free the old LU before SuperLU allocates
+        G = gd.grad_gram()
+        _ell = gd, G, linalg.spd_solver(G, gd.recon_measures)
+    return _ell[1:]
 
 
 def coercivity_constant(gd, seed=0):
@@ -57,7 +58,7 @@ def coercivity_constant(gd, seed=0):
     via power iteration on the generalized eigenproblem of the two Gram
     matrices.  The elliptic operator is factored once for all iterations."""
     m = gd.recon_measures
-    ell_solve = _ell_solver(gd)
+    _, ell_solve = _elliptic(gd)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(gd.ndof)
     lam_prev = 0.0
@@ -96,8 +97,9 @@ def consistency_defect(gd, f, grad_f):
 
     rhs_pi = _cell_integrals(rq, f_vals, gd.ndof)
     rhs_g = _grad_load(gd, g_vals)
-    A = (sp.diags(gd.recon_measures) + gd.grad_gram()).tocsr()
-    w = linalg.solve_pcg(A, rhs_pi + rhs_g, _ell_solver(gd))
+    G, ell_solve = _elliptic(gd)
+    A = (sp.diags(gd.recon_measures) + G).tocsr()
+    w = linalg.solve_pcg(A, rhs_pi + rhs_g, ell_solve)
 
     gw = gd.grad(w)
     err_pi = (gd.recon_measures @ w ** 2 - 2.0 * float(w @ rhs_pi)
@@ -131,7 +133,7 @@ def limit_conformity_defect(gd, phi, div_phi):
     phi_vals = np.asarray(phi(gq.points), dtype=float)
     div_vals = np.asarray(div_phi(rq.points), dtype=float)
     ell = _grad_load(gd, phi_vals) + _cell_integrals(rq, div_vals, gd.ndof)
-    x = _ell_solver(gd)(ell)
+    x = _elliptic(gd)[1](ell)
     return float(np.sqrt(max(float(ell @ x), 0.0)))
 
 

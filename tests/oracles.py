@@ -6,12 +6,15 @@ partial-sum form of the radial profile, the ray-angle form of the lineic
 production, and the loop builders of the structured triangulation, the edge
 incidence counts, the VTK polygons, the Gauss points of rectangles and the
 P1 gradients and dual quadrature points.  ``save_mesh`` writes the mesh
-files the tests read back.  ``transport_matrices`` and
+files the tests read back, and ``REPEATED_EDGE_FILES`` holds two invalid
+ones.  ``transport_matrices`` and
 ``transport_jacobian`` are the per-step and per-iteration transport
 assembly that ``TransportOperator`` replaced, and ``grad_gram``,
 ``convection_matrix`` and ``artificial_diffusion`` the sparse-product
 assembly that the cached ``AssemblyPattern`` replaced; the products drop
-the entries that cancel.
+the entries that cancel.  ``assembly_pattern`` builds that pattern from
+sparse products of the operators' structure, as it was before it was
+read off the local table.
 """
 
 import numpy as np
@@ -200,6 +203,18 @@ def save_mesh(mesh, path):
         np.savetxt(f, mesh.triangles, fmt="%d")
 
 
+# one triangle given twice (area 1, no boundary edge), and a unit square
+# with a third triangle folded over its two (area 1.5): each runs edge
+# (0, 1) twice the same way, which no positively oriented conforming mesh
+# does
+REPEATED_EDGE_FILES = {
+    "duplicated": "vertices 3\n0 0\n1 0\n0 1\n"
+                  "triangles 2\n0 1 2\n0 1 2\n",
+    "folded": "vertices 4\n0 0\n1 0\n1 1\n0 1\n"
+              "triangles 3\n0 1 2\n0 2 3\n0 1 3\n",
+}
+
+
 def transport_matrices(gd, U, dt, dsrc, params, variant):
     """base = mass / dt + diffusion (+ the production reaction) and the
     convection C, assembled anew for one transport step."""
@@ -250,3 +265,27 @@ def convection_matrix(gd, U, variant):
     if variant == "upstream":
         C = (C + artificial_diffusion(C)).tocsr()
     return C
+
+
+def assembly_pattern(gd, cross=False):
+    """(indptr, indices, pos, diag) of ``gd.pattern(cross)`` from the
+    structure Sx, Sy, So of grad_x, grad_y and overlap (ones on the stored
+    entries): Sx^T Sx + Sy^T Sy, or Sg^T Sg with Sg = Sx + Sy for the
+    cross pattern, plus Sg^T So + So^T Sg; pos[g, i, j] is searched pair
+    by pair of the local dofs gd.local[0][:, g]."""
+    sx, sy, so = (sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr),
+                                shape=A.shape)
+                  for A in (gd.grad_x, gd.grad_y, gd.overlap))
+    sg = sx + sy
+    S = sg.T @ sg if cross else sx.T @ sx + sy.T @ sy
+    S = (S + sg.T @ so + so.T @ sg).tocsr()
+    S.sort_indices()
+    n, dofs = gd.ndof, gd.local[0]
+    keys = np.repeat(np.arange(n), np.diff(S.indptr)) * n + S.indices
+    pos = np.empty((dofs.shape[1],) + (len(dofs),) * 2, dtype=np.int32)
+    for i, j in np.ndindex(pos.shape[1:]):
+        key = dofs[i] * n + dofs[j]
+        at = np.searchsorted(keys, key)
+        pos[:, i, j] = np.where(keys.take(at, mode="clip") == key, at, S.nnz)
+    diag = np.searchsorted(keys, np.arange(n) * (n + 1)).astype(np.int32)
+    return S.indptr, S.indices, pos, diag

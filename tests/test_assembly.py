@@ -569,35 +569,58 @@ class TestAssemblyPattern:
         assert np.all(in_cross[stored(plain.matrix(np.ones(plain.nnz)))])
         for name in ("indptr", "indices", "pos", "diag"):
             assert not getattr(P, name).flags.writeable, name
-        for a in gd._local:
-            assert not a.flags.writeable
 
     def test_cross_pattern_matches_products(self, tmp_path, geometry):
-        # scheme b stores every local dof in overlap and takes the plain
-        # pattern without forming the products
+        """Both patterns, read off the local table, equal the ones built
+        from sparse products of the operators' structure bit for bit; on
+        scheme b the cross pattern couples no other pairs and is the plain
+        one."""
         gd = DISCRETISATIONS[geometry](tmp_path)
-        ref = gd_module._build_pattern(gd, gd._structure(cross=True))
-        P = gd.pattern(True)
-        assert (P is gd.pattern()) == (gd.kind == "b")
-        for name in ("indptr", "indices", "pos", "diag"):
-            assert np.array_equal(getattr(P, name), getattr(ref, name)), name
+        for cross in (False, True):
+            P = gd.pattern(cross)
+            ref = oracles.assembly_pattern(gd, cross)
+            for name, a in zip(("indptr", "indices", "pos", "diag"), ref):
+                got = getattr(P, name)
+                assert got.dtype == a.dtype, name
+                assert np.array_equal(got, a), name
+        assert (gd.pattern(True) is gd.pattern()) == (gd.kind == "b")
 
-    def test_local_table_matches_operators(self, tmp_path, geometry):
-        """rows[i][:, g] holds row g of the i-th of grad_x, grad_y and
-        overlap on the local dofs dofs[:, g], which are the columns of
-        those rows; the table is built once per discretisation."""
+    def test_local_table_matches_operators(self, tmp_path, geometry,
+                                           monkeypatch):
+        """grad_x, grad_y and overlap hold the table's values on the
+        local dofs of every cell and nothing else; the table is read-only,
+        its int64 dofs ascend in every cell, and each operator is built
+        once per discretisation."""
+        built = []
+
+        def counting(gd, row, _real=gd_module.GradientDiscretisation._csr):
+            built.append(id(row))
+            return _real(gd, row)
+        monkeypatch.setattr(gd_module.GradientDiscretisation, "_csr",
+                            counting)
         gd = DISCRETISATIONS[geometry](tmp_path)
-        local = gd._local
-        dofs, rows = local[0], local[1:]
+        dofs, rows = gd.local[0], gd.local[1:]
+        assert dofs.dtype == np.int64
+        assert np.all(np.diff(dofs, axis=0) > 0)
+        for a in gd.local:
+            assert not a.flags.writeable
         cells = np.arange(gd.n_grad_cells)
-        for row, A in zip(rows, (gd.grad_x, gd.grad_y, gd.overlap)):
-            assert np.array_equal(row, A.toarray()[cells, dofs])
-        union = (abs(gd.grad_x) + abs(gd.grad_y) + gd.overlap).tolil().rows
-        assert all(list(d) == cols for d, cols in zip(dofs.T, union))
+        views = (gd.grad_x, gd.grad_y, gd.overlap)
+        for row, A in zip(rows, views):
+            dense = np.zeros((gd.n_grad_cells, gd.ndof))
+            dense[cells, dofs] = row
+            assert np.array_equal(A.toarray(), dense)
+            assert A.has_canonical_format
         U = np.ones((gd.n_grad_cells, 2))
         gd.grad_gram(1.0, 1.0, 0.5)
         convection_matrix(gd, U, "upstream", cross=True)
-        assert all(a is b for a, b in zip(gd._local, local))
+        w = np.ones(gd.ndof)
+        pressure_matrix(gd, w, MobilityTensor(k=1.0, M=2.0))
+        gd.grad(w)
+        gd.norm_ell(w)
+        assert all(a is b for a, b in zip((gd.grad_x, gd.grad_y,
+                                           gd.overlap), views))
+        assert sorted(built) == sorted(id(row) for row in rows)
 
     def test_in_place_change_raises(self, tmp_path, geometry):
         gd = DISCRETISATIONS[geometry](tmp_path)

@@ -22,8 +22,8 @@ from gdflow.mesh import (
 )
 from gdflow.sim import ConfigError, RunConfig
 
-from oracles import loop_scheme_a_polygons, loop_scheme_b_polygons, \
-    save_mesh
+from oracles import REPEATED_EDGE_FILES, loop_scheme_a_polygons, \
+    loop_scheme_b_polygons, save_mesh
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -377,6 +377,27 @@ class TestCli:
     def test_missing_config_file_exit_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    def test_config_directory_exit_1(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: ")
+        assert "Is a directory" in captured.err
+
+    def test_out_dir_below_file_exit_1_before_run(self, tmp_path, capsys,
+                                                  monkeypatch):
+        (tmp_path / "file").write_text("")
+        path = write_config(tmp_path, "test=analytic1\nscheme=a\nn=4\n"
+                                      "dt=0.1\n")
+        runs = []
+        monkeypatch.setattr(sim, "run_coupled",
+                            lambda *args, **kwargs: runs.append(1))
+        assert main(["run", "--config", str(path),
+                     "--out-dir", str(tmp_path / "file" / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: ")
+        assert "Not a directory" in captured.err
+        assert runs == []
+
     def test_run_small_analytic(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -540,6 +561,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == ("configuration error: triangle areas "
                                 "overflow: their sum is not finite\n")
+        assert captured.out == ""
+
+    def test_mesh_info_directory_exit_1(self, tmp_path, capsys):
+        assert main(["mesh-info", "--mesh-file", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: ")
+        assert "Is a directory" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name", ["duplicated", "folded"])
+    def test_mesh_info_repeated_directed_edge_exit_1(self, tmp_path, capsys,
+                                                     name):
+        path = tmp_path / f"{name}.mesh"
+        path.write_text(REPEATED_EDGE_FILES[name])
+        assert main(["mesh-info", "--mesh-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: directed edge (0, 1) "
+                                "shared by 2 triangles\n")
         assert captured.out == ""
 
     def test_mesh_info_requires_argument(self, capsys):

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from gdflow.mesh import (
     validate_mesh,
 )
 
-from oracles import loop_edge_counts, loop_triangles, save_mesh
+from oracles import REPEATED_EDGE_FILES, loop_edge_counts, loop_triangles, \
+    save_mesh
 
 
 def jittered_mesh_file(tmp_path, reps=3, seed=3):
@@ -163,6 +165,13 @@ class TestValidateMesh:
         with pytest.raises(MeshError, match=r"edge \(0, 1\) shared by 3"):
             validate_mesh(TriangularMesh(vertices=vertices, triangles=triangles))
 
+    @pytest.mark.parametrize("reps", [1, 2, 5, 16])
+    def test_structured_directed_edges_unique(self, reps):
+        triangles = build_structured_triangulation(reps, 1.0).triangles
+        directed = Counter((int(t[k]), int(t[(k + 1) % 3]))
+                           for t in triangles for k in range(3))
+        assert max(directed.values()) == 1
+
 
 class TestEdges:
     def test_structured_counts_match_loop(self):
@@ -231,6 +240,14 @@ class TestMeshFile:
         path = tmp_path / "bad.mesh"
         path.write_text("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 2 1\n")
         with pytest.raises(MeshError):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("name", list(REPEATED_EDGE_FILES))
+    def test_repeated_directed_edge_rejected(self, tmp_path, name):
+        path = tmp_path / f"{name}.mesh"
+        path.write_text(REPEATED_EDGE_FILES[name])
+        with pytest.raises(MeshError,
+                           match=r"directed edge \(0, 1\) shared by 2"):
             load_mesh(path)
 
     def test_non_finite_vertex_rejected(self, tmp_path):

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from gdflow import linalg, quality
 
-from gdflow.gd import scheme_a, scheme_b
+from gdflow.gd import GradientDiscretisation, scheme_a, scheme_b
 from gdflow.mesh import build_cartesian, build_dual, build_structured_triangulation
 from gdflow.quality import (
     coercivity_constant,
@@ -206,6 +206,21 @@ class TestSharedFactorisation:
         assert factored == pinned
         quality_report(first)
         assert factored == pinned + pinned[:1]
+
+    def test_gram_assembled_once(self, monkeypatch):
+        """S_D forms M + G from the G kept next to the LU of E."""
+        assembled = []
+        real = GradientDiscretisation.grad_gram
+
+        def counting(gd, *args, **kwargs):
+            assembled.append(id(gd))
+            return real(gd, *args, **kwargs)
+        monkeypatch.setattr(GradientDiscretisation, "grad_gram", counting)
+        first, second = make_a(6), make_b(3)
+        quality_report(first)
+        assert assembled == [id(first)]
+        quality_report(second)
+        assert assembled == [id(first), id(second)]
 
     @pytest.mark.parametrize("make", [lambda: make_a(64), lambda: make_b(32)],
                              ids=["a_n64", "b_reps32"])
