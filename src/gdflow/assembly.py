@@ -153,51 +153,31 @@ def convection_matrix(gd, U, variant, cross=False):
     return C
 
 
-def free_block_map(A, free_idx):
-    """The gather map from the entries of A, a CSR matrix with sorted rows,
-    to its free block A[free, free]: the positions of the kept entries in
-    A.data, and the block as a CSR template with sorted rows whose data is
-    filled by ``eliminate_dirichlet``.  Its arrays are read-only, as every
-    block shares them."""
-    n = A.shape[0]
-    new = np.full(n, -1)
-    new[free_idx] = np.arange(len(free_idx))
-    rows = new[np.repeat(np.arange(n), np.diff(A.indptr))]
-    cols = new[A.indices]
-    gather = np.flatnonzero((rows >= 0) & (cols >= 0))
-    m = len(free_idx)
-    indptr = np.searchsorted(rows[gather], np.arange(m + 1))
-    block = sp.csr_matrix((A.data[gather], cols[gather], indptr),
-                          shape=(m, m))
-    for a in (gather, block.indices, block.indptr):
-        a.flags.writeable = False
-    return gather, block
+def eliminate_dirichlet(J, rows):
+    """Make the Dirichlet rows of J identity rows, in place.
 
-
-def eliminate_dirichlet(A, free_block):
-    """The free block A[free, free] left by eliminating the Dirichlet dofs.
-
-    A comes with sorted rows, in the pattern that ``free_block``, the
-    result of ``free_block_map``, was computed for; the block keeps that
-    order, so its rows are sorted too.
+    J lies on the pattern P that ``rows`` = (entries, diag), the positions
+    in P of all entries and of the diagonals of those rows, was computed
+    for; the other rows, and the index arrays of J, are left as they are.
     """
-    gather, block = free_block
-    return sp.csr_matrix((A.data[gather], block.indices, block.indptr),
-                         shape=block.shape)
+    entries, diag = rows
+    J.data[entries] = 0.0
+    J.data[diag] = 1.0
+    return J
 
 
 class TransportOperator:
     """The transport system of one velocity U and time step dt.
 
-    ``base`` = mass / dt + diffusion (+ the production reaction) and the
+    ``base`` = mass / dt + diffusion + the production reaction and the
     convection ``C`` define the residual F(c) = base c + C T(c) - b0 and the
     Jacobian base + C diag(theta).  Both are assembled on the pattern P
     of the diffusion, the cross one where the dispersion has a D12 part,
     and share its index arrays, so that each Jacobian is formed from their
     values alone.  Each step prescribes values on ``dirichlet_dofs``, if
-    given, and ``free_block``, kept by P per Dirichlet set, maps P to its
-    free block.  ``cache`` holds the LU of the Jacobians and lives as long
-    as the operator.
+    given, whose rows of each Jacobian become identity rows in place at
+    the positions ``dirichlet_rows`` in P.  ``cache`` holds the LU of the
+    Jacobians and lives as long as the operator.
     """
 
     def __init__(self, gd, U, dt, dsrc, params, variant, dirichlet_dofs=None):
@@ -216,27 +196,24 @@ class TransportOperator:
         self.q_injection = dsrc.q_injection
         # the column of every entry of P: intp indexes theta twice as fast
         self.cols = P.indices.astype(np.intp)
-
-        self.free = np.ones(gd.ndof, dtype=bool)
         self.dirichlet_dofs = dirichlet_dofs
-        self.free_block = None
+        self.dirichlet_rows = None
         if dirichlet_dofs is not None:
-            self.free[dirichlet_dofs] = False
-            key = self.free.tobytes()
-            if key not in P.free_blocks:
-                P.free_blocks[key] = free_block_map(
-                    self.base, np.flatnonzero(self.free))
-            self.free_block = P.free_blocks[key]
+            fixed = np.zeros(gd.ndof, dtype=bool)
+            fixed[dirichlet_dofs] = True
+            self.dirichlet_rows = (
+                np.flatnonzero(np.repeat(fixed, np.diff(P.indptr))),
+                P.diag[dirichlet_dofs])
         self.cache = linalg.FactorizationCache()
 
     def jacobian(self, theta):
-        """base + C diag(theta) on P; with Dirichlet dofs, its free
-        block."""
+        """base + C diag(theta) on P, with identity rows on the Dirichlet
+        dofs."""
         base = self.base
         J = sp.csr_matrix((base.data + self.C.data * theta[self.cols],
                            base.indices, base.indptr), shape=base.shape)
-        if self.free_block is not None:
-            J = eliminate_dirichlet(J, self.free_block)
+        if self.dirichlet_rows is not None:
+            eliminate_dirichlet(J, self.dirichlet_rows)
         return J
 
 
@@ -244,11 +221,12 @@ def transport_step(op, c_prev, dirichlet=None):
     """One implicit transport step on the ``TransportOperator`` op.
 
     The truncation nonlinearity is resolved by a semismooth Newton
-    ("Picard") iteration on the free rows of F(c) = base c + C T(c) - b0.
-    At the iterate z, J = base + C diag(theta) with theta = 1 where z lies
-    in [0, 1] and 0 elsewhere, and the correction solves
-    J_ff delta_f = F(z)_f with the LU kept by ``op.cache``; delta is zero
-    on the Dirichlet dofs, which z already holds.  An Armijo line search
+    ("Picard") iteration on F(c) = base c + C T(c) - b0, set to zero on the
+    Dirichlet dofs, which the iterate z holds from the start.  At z,
+    J = base + C diag(theta) with theta = 1 where z lies in [0, 1] and 0
+    elsewhere, and identity rows on the Dirichlet dofs; the correction
+    solves J delta = F(z) with the LU kept by ``op.cache``, so delta is
+    zero on the Dirichlet dofs.  An Armijo line search
     globalises c = z - lam delta: unless the full step passes the
     convergence test, lam = 1 is halved (down to MIN_STEP) while
     ||F(c)|| > (1 - ARMIJO_DECREASE lam) ||F(z)||.  ``dirichlet`` is the
@@ -263,7 +241,7 @@ def transport_step(op, c_prev, dirichlet=None):
             or np.shape(dirichlet) != np.shape(dofs):
         raise ConfigError("Dirichlet values do not fit the Dirichlet dofs "
                           "of the transport operator")
-    base, C, free = op.base, op.C, op.free
+    base, C = op.base, op.C
     b0 = op.mass * c_prev / op.dt + op.q_injection
     z = c_prev.copy()
     if dofs is not None:
@@ -271,7 +249,9 @@ def transport_step(op, c_prev, dirichlet=None):
     scale = max(float(np.linalg.norm(b0)), 1e-30)
 
     def residual(c):
-        F = (base @ c + C @ truncate(c) - b0)[free]
+        F = base @ c + C @ truncate(c) - b0
+        if dofs is not None:
+            F[dofs] = 0.0
         return F, float(np.linalg.norm(F))
 
     F, res_z = residual(z)
@@ -279,8 +259,7 @@ def transport_step(op, c_prev, dirichlet=None):
     backtracks = 0
     for it in range(1, PICARD_MAX_ITER + 1):
         theta = ((z >= 0.0) & (z <= 1.0)).astype(float)
-        delta = np.zeros(len(z))
-        delta[free] = op.cache.solve(op.jacobian(theta), F)
+        delta = op.cache.solve(op.jacobian(theta), F)
         c, lam = z - delta, 1.0
         F, res = residual(c)
         converged = (res <= PICARD_TOL * scale

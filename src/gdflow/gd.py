@@ -134,15 +134,13 @@ class AssemblyPattern:
     gradient discretisation, sums over the gradient cells g of k x k blocks
     on the local dofs of g; P holds the pairs the local table couples.
     ``pos[g, i, j]`` is the position in P of the local entry (i, j), or nnz
-    where P has none; ``diag`` gives the position of every diagonal entry
-    and ``free_blocks`` the free-block maps of Dirichlet dof sets.  The
-    arrays are read-only: every matrix on P shares them."""
+    where P has none, and ``diag`` the position of every diagonal entry.
+    The arrays are read-only: every matrix on P shares them."""
 
     indptr: np.ndarray
     indices: np.ndarray
     pos: np.ndarray
     diag: np.ndarray
-    free_blocks: dict = field(default_factory=dict, repr=False)
 
     @property
     def nnz(self):

@@ -226,12 +226,14 @@ def transport_matrices(gd, U, dt, dsrc, params, variant):
     return base.tocsr(), assembly.convection_matrix(gd, U, variant)
 
 
-def transport_jacobian(base, C, theta, free_idx=None):
-    """base + C diag(theta) by a sparse product and sum, and its free block
-    A[free, free] by slicing when ``free_idx`` is given."""
+def transport_jacobian(base, C, theta, dofs=None):
+    """base + C diag(theta) by a sparse product and sum, with identity rows
+    on the Dirichlet ``dofs`` when they are given."""
     J = (base + C @ sp.diags(theta)).tocsr()
-    if free_idx is not None:
-        J = J.tocsc()[:, free_idx][free_idx].tocsr()
+    if dofs is not None:
+        keep = np.ones(J.shape[0])
+        keep[dofs] = 0.0
+        J = (sp.diags(keep) @ J + sp.diags(1.0 - keep)).tocsr()
     return J
 
 

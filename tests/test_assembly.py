@@ -18,7 +18,6 @@ from gdflow.assembly import (
     diffusion_matrix,
     discretize_sources,
     eliminate_dirichlet,
-    free_block_map,
     mass_balance_residual,
     pressure_matrix,
     solve_pressure,
@@ -206,31 +205,25 @@ class TestDirichlet:
                               no_sources(gd), DispersionParams(phi=0.1, dm=1.0),
                               "centred", dirichlet_dofs=np.array([], dtype=int))
 
-    def test_elimination_oracle(self):
-        rng = np.random.default_rng(4)
-        dense = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-        free = np.array([0, 2, 3, 5])
-        A = sp.csr_matrix(dense)
-        A_ff = eliminate_dirichlet(A, free_block_map(A, free))
-        assert A_ff.format == "csr"
-        assert np.array_equal(A_ff.toarray(), dense[np.ix_(free, free)])
-
-    def test_unsorted_input_matches_csc_slicing(self):
-        A = sp.random(30, 30, density=0.2, random_state=7, format="csr") \
-            + sp.eye(30, format="csr")
-        for i in range(A.shape[0]):  # each row's entries in reverse order
-            row = slice(A.indptr[i], A.indptr[i + 1])
-            A.indices[row] = A.indices[row][::-1]
-            A.data[row] = A.data[row][::-1]
-        A = sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
-        assert not A.has_sorted_indices
-        free = np.flatnonzero(np.arange(30) % 4 != 1)
-        ref = A.tocsc()[:, free][free].tocsr()
-        # the elimination takes sorted rows
-        A = A.sorted_indices()
-        A_ff = eliminate_dirichlet(A, free_block_map(A, free))
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(A_ff, part), getattr(ref, part))
+    def test_identity_rows_in_place(self):
+        """The Dirichlet rows of a matrix on the operator's pattern become
+        identity rows; the other rows and the shared index arrays of the
+        pattern stay as they are."""
+        gd = make_a(3)
+        dofs = np.array([0, 2, 7])
+        op = TransportOperator(gd, np.zeros((gd.n_grad_cells, 2)), 0.1,
+                               no_sources(gd), DispersionParams(phi=0.1,
+                                                                dm=1.0),
+                               "centred", dofs)
+        P = gd.pattern()
+        A = P.matrix(np.random.default_rng(4).standard_normal(P.nnz))
+        dense = A.toarray()
+        assert eliminate_dirichlet(A, op.dirichlet_rows) is A
+        free = np.setdiff1d(np.arange(gd.ndof), dofs)
+        assert np.array_equal(A.toarray()[dofs], np.eye(gd.ndof)[dofs])
+        assert np.array_equal(A.toarray()[free], dense[free])
+        for part in ("indices", "indptr"):
+            assert np.shares_memory(getattr(A, part), getattr(P, part))
 
 
 class TestTransportStep:
@@ -492,9 +485,16 @@ class TestTransportOperatorProperties:
         for theta in (rng.integers(0, 2, gd.ndof).astype(float),
                       np.zeros(gd.ndof), np.ones(gd.ndof)):
             J = op.jacobian(theta)
-            ref = transport_jacobian(base, C, theta, free)
+            ref = transport_jacobian(base, C, theta, dofs)
             assert J.has_sorted_indices
             assert np.array_equal(J.toarray(), ref.toarray())
+            if dirichlet:  # the free block is the one sliced from J
+                sliced = transport_jacobian(base, C, theta).tocsc()
+                sliced = sliced[:, free][free].tocsr()
+                block = ref.tocsc()[:, free][free].tocsr()
+                for part in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(block, part),
+                                          getattr(sliced, part))
 
 
 def loaded_gd(tmp_path):
@@ -644,27 +644,6 @@ class TestAssemblyPattern:
             assert np.array_equal(got, ref)
         assert np.array_equal(op.jacobian(np.ones(gd.ndof)).toarray(),
                               J.toarray())
-
-
-def test_free_blocks_kept_per_dirichlet_set():
-    """Dof sets whose bytes agree across dtypes get their own free block;
-    one set in two dtypes shares one."""
-    gd = make_a(4)
-    U = np.zeros((gd.n_grad_cells, 2))
-    params = DispersionParams(phi=0.1, dm=0.5, dl=0.0, dt_=0.0)
-    dsrc = discretize_sources(gd, 1.0, None)
-
-    def block(dofs):
-        op = TransportOperator(gd, U, 0.1, dsrc, params, "centred", dofs)
-        assert op.free_block[1].shape == (gd.ndof - len(dofs),) * 2
-        return op.free_block
-
-    pair = block(np.array([1, 0], dtype=np.int32))
-    one = block(np.array([1], dtype=np.int64))
-    assert np.array([1, 0], np.int32).tobytes() \
-        == np.array([1], np.int64).tobytes()
-    assert one is not pair
-    assert block(np.array([0, 1], dtype=np.int64)) is pair
 
 
 def test_isotropic_scheme_a_pattern_is_five_point():

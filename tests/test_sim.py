@@ -122,6 +122,19 @@ class TestRunCoupled:
         assert 0.0 < report.l1 < 0.2
         assert 0.0 < report.l2 < 0.3
 
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(test="analytic1", scheme="a", n=10, dt=0.04),
+        RunConfig(test="analytic2", scheme="b", reps=4, dt=0.04),
+    ], ids=["analytic1-a", "analytic2-b"])
+    def test_dirichlet_values_hold_after_every_step(self, cfg):
+        problem = build_problem(cfg)
+        dofs, held = problem.dirichlet_dofs, []
+        run_coupled(RunConfig(**{**cfg.__dict__, "vtk_every": 1}),
+                    problem=problem,
+                    snapshot_cb=lambda step, t, s: held.append(
+                        np.array_equal(s.c[dofs], problem.dirichlet_at(t))))
+        assert held == [True] * cfg.resolved().n_steps
+
     TABLE1_COARSE = RunConfig(test="analytic1", scheme="a", n=25, dt=0.02)
 
     def test_every_step_uses_config_dt(self, monkeypatch):
