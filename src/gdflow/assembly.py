@@ -37,12 +37,11 @@ class PicardError(RuntimeError):
 @dataclass(frozen=True)
 class DiscreteSources:
     """Per-dof source rates of the injected fluid (concentration 1) and of
-    the production; ``production_in_transport`` adds the production as a
-    reaction term to the transport equation."""
+    the production, which the transport equation takes as a reaction
+    term."""
 
     q_injection: np.ndarray
     q_production: np.ndarray
-    production_in_transport: bool = True
 
     def pressure_rhs(self):
         return self.q_injection - self.q_production
@@ -62,9 +61,7 @@ def discretize_sources(gd, side, rate):
     (side, side) and the origin; with ``rate=None``, the radial test's pi/2
     injection at (1, 1) and, on each dof of the two edges through the
     origin, a production equal to the angle its segment subtends at (1, 1),
-    where (s, 0) and (0, s) lie at arctan2(s, 2 - s) from the origin.  That
-    production acts on the Dirichlet edges, whose constrained rows replace
-    the reaction term in the transport equation."""
+    where (s, 0) and (0, s) lie at arctan2(s, 2 - s) from the origin."""
     qi = np.zeros(gd.ndof)
     qp = np.zeros(gd.ndof)
     if rate is not None:
@@ -81,8 +78,7 @@ def discretize_sources(gd, side, rate):
         breaks = np.concatenate([[0.0], 0.5 * (s[1:] + s[:-1]), [1.0]])
         angle = np.arctan2(breaks, 2.0 - breaks)
         np.add.at(qp, on_edge[order], np.diff(angle))
-    return DiscreteSources(q_injection=qi, q_production=qp,
-                           production_in_transport=False)
+    return DiscreteSources(q_injection=qi, q_production=qp)
 
 
 def pressure_matrix(gd, c_prev, mobility):
@@ -190,8 +186,7 @@ class TransportOperator:
         P, C = gd.pattern(cross), convection_matrix(gd, U, variant, cross)
         base = D.data
         base[P.diag] += self.mass / dt
-        if dsrc.production_in_transport and np.any(dsrc.q_production):
-            base[P.diag] += dsrc.q_production
+        base[P.diag] += dsrc.q_production
         self.base, self.C = P.matrix(base), C
         self.q_injection = dsrc.q_injection
         # the column of every entry of P: intp indexes theta twice as fast

@@ -207,6 +207,9 @@ def save_mesh(mesh, path):
 # with a third triangle folded over its two (area 1.5): each runs edge
 # (0, 1) twice the same way, which no positively oriented conforming mesh
 # does
+# a mesh file that ends before its triangles header
+VERTICES_ONLY_FILE = "vertices 3\n0 0\n1 0\n0 1\n"
+
 REPEATED_EDGE_FILES = {
     "duplicated": "vertices 3\n0 0\n1 0\n0 1\n"
                   "triangles 2\n0 1 2\n0 1 2\n",
@@ -216,13 +219,12 @@ REPEATED_EDGE_FILES = {
 
 
 def transport_matrices(gd, U, dt, dsrc, params, variant):
-    """base = mass / dt + diffusion (+ the production reaction) and the
+    """base = mass / dt + diffusion + the production reaction and the
     convection C, assembled anew for one transport step."""
     mass = params.phi * gd.recon_measures
     base = sp.diags(mass / dt) + assembly.diffusion_matrix(gd, U, params,
                                                            variant)
-    if dsrc.production_in_transport and np.any(dsrc.q_production):
-        base = base + sp.diags(dsrc.q_production)
+    base = base + sp.diags(dsrc.q_production)
     return base.tocsr(), assembly.convection_matrix(gd, U, variant)
 
 

@@ -29,6 +29,7 @@ from gdflow.linalg import residual_norm
 from gdflow.mesh import build_cartesian, build_dual, \
     build_structured_triangulation, load_mesh
 from gdflow.physics import DispersionParams, MobilityTensor, tensor_D_field
+from gdflow.sim import RunConfig, run_coupled
 import oracles
 from oracles import save_mesh, transport_jacobian, transport_matrices
 
@@ -171,8 +172,11 @@ class TestConvection:
     def test_unknown_variant(self):
         gd = make_a(3)
         U = np.zeros((gd.n_grad_cells, 2))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown convection variant"):
             convection_matrix(gd, U, "weird")
+        with pytest.raises(ConfigError, match="unknown convection variant"):
+            diffusion_matrix(gd, U, DispersionParams(phi=0.1, dm=1.0),
+                             "weird")
 
 
 class TestDiffusionMatrix:
@@ -282,9 +286,11 @@ class TestTransportStep:
         c, info = step(gd, U, c_prev, dt, dsrc, params, "centred",
                        dofs=dofs, values=np.full(len(dofs), 0.25))
         assert np.allclose(c[dofs], 0.25)
-        # interior residual of the full nonlinear equation
+        # interior residual of the full nonlinear equation, with the
+        # production reaction on the left edge
         mass = params.phi * gd.recon_measures
-        base = sp.diags(mass / dt) + diffusion_matrix(gd, U, params, "centred")
+        base = sp.diags(mass / dt + dsrc.q_production) \
+            + diffusion_matrix(gd, U, params, "centred")
         C = convection_matrix(gd, U, "centred")
         r = base @ c + C @ np.clip(c, 0.0, 1.0) \
             - mass * c_prev / dt - dsrc.q_injection
@@ -426,11 +432,11 @@ class TestTransportProperties:
         c, _ = converged_step(variant, gd, U, c_prev, dt, dsrc, self.params,
                               dofs=dofs, values=values)
         assert np.array_equal(c[dofs], values)
-        # F(c) = base c + C T(c) - b0, rebuilt here; production acts on
-        # the constrained rows, so it is not part of base
+        # F(c) = base c + C T(c) - b0, rebuilt here, with the production
+        # reaction in base
         mass = self.params.phi * gd.recon_measures
-        base = sp.diags(mass / dt) + diffusion_matrix(gd, U, self.params,
-                                                      variant)
+        base = sp.diags(mass / dt + dsrc.q_production) \
+            + diffusion_matrix(gd, U, self.params, variant)
         C = convection_matrix(gd, U, variant)
         b0 = mass * c_prev / dt + dsrc.q_injection
         free = np.ones(gd.ndof, dtype=bool)
@@ -685,6 +691,16 @@ class TestCentredStall:
         c_prev = rng.random(gd.ndof)
         step(gd, U, c_prev, 0.1, dsrc,
                        TestTransportProperties.params, "centred")
+
+    @pytest.mark.parametrize("n, dt", [(50, 0.04), (25, 0.08)])
+    def test_analytic2_long_steps_converge(self, n, dt):
+        """These runs stalled in a 2-cycle of the clamp flags of two dofs
+        next to (1, 0) and (0, 1) while the production there had no
+        reaction in the transport equation."""
+        _, report = run_coupled(RunConfig(test="analytic2", scheme="a", n=n,
+                                          dt=dt, variant="centred"))
+        assert len(report.diagnostics) == round(0.4 / dt)
+        assert max(row["picard_iters"] for row in report.diagnostics) <= 30
 
 
 class TestMassBalanceResidual:

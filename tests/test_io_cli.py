@@ -22,8 +22,8 @@ from gdflow.mesh import (
 )
 from gdflow.sim import ConfigError, RunConfig
 
-from oracles import REPEATED_EDGE_FILES, loop_scheme_a_polygons, \
-    loop_scheme_b_polygons, save_mesh
+from oracles import REPEATED_EDGE_FILES, VERTICES_ONLY_FILE, \
+    loop_scheme_a_polygons, loop_scheme_b_polygons, save_mesh
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -579,6 +579,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == ("configuration error: directed edge (0, 1) "
                                 "shared by 2 triangles\n")
+        assert captured.out == ""
+
+    def test_mesh_info_file_without_triangles_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "vertices_only.mesh"
+        path.write_text(VERTICES_ONLY_FILE)
+        assert main(["mesh-info", "--mesh-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: unexpected end of file, "
+                                "expected 'triangles' header\n")
         assert captured.out == ""
 
     def test_mesh_info_requires_argument(self, capsys):

@@ -320,6 +320,18 @@ class TestFactorizationCacheUpdate:
         with pytest.raises(SolverError):
             cache.solve(A1.tocsr(), np.ones(20))
 
+    def test_inf_on_the_pattern_is_factored_and_raises(self):
+        """A non-finite difference on A0's own pattern is not solved as an
+        update: the matrix is factored, and its residual fails."""
+        A0 = dominant(20, seed=7)
+        A1 = A0.copy()
+        A1.data[5] = np.inf
+        cache = FactorizationCache()
+        cache.solve(A0, np.ones(20))
+        assert cache._update(A1) is None
+        with pytest.raises(SolverError):
+            cache.solve(A1, np.ones(20))
+
     @pytest.mark.parametrize("capacitance", ["wrong", "singular"])
     def test_residual_miss_refactors(self, monkeypatch, capacitance):
         A0 = dominant(40, seed=8)

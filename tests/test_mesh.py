@@ -16,8 +16,8 @@ from gdflow.mesh import (
     validate_mesh,
 )
 
-from oracles import REPEATED_EDGE_FILES, loop_edge_counts, loop_triangles, \
-    save_mesh
+from oracles import REPEATED_EDGE_FILES, VERTICES_ONLY_FILE, \
+    loop_edge_counts, loop_triangles, save_mesh
 
 
 def jittered_mesh_file(tmp_path, reps=3, seed=3):
@@ -286,6 +286,13 @@ class TestMeshFile:
         path = tmp_path / "short.mesh"
         path.write_text("vertices 4\n0 0\n1 0\n")
         with pytest.raises(MeshParseError, match="end of file"):
+            load_mesh(path)
+
+    def test_file_without_triangles_header(self, tmp_path):
+        path = tmp_path / "vertices_only.mesh"
+        path.write_text(VERTICES_ONLY_FILE)
+        with pytest.raises(MeshParseError,
+                           match="end of file, expected 'triangles' header"):
             load_mesh(path)
 
     def test_round_trip(self, tmp_path):

@@ -290,7 +290,6 @@ class TestSourceModel:
         gd = scheme_a(build_cartesian(4, 1000.0))
         dsrc = discretize_sources(gd, 1000.0, 30.0)
         assert dsrc.q_injection.sum() == dsrc.q_production.sum() == 30.0
-        assert dsrc.production_in_transport
         assert dsrc.pressure_rhs().sum() == 0.0
 
     def test_radial_sources_balanced(self):
@@ -298,7 +297,6 @@ class TestSourceModel:
         dsrc = discretize_sources(gd, 1.0, None)
         assert np.isclose(dsrc.q_injection.sum(), np.pi / 2.0)
         assert np.isclose(dsrc.q_production.sum(), np.pi / 2.0)
-        assert not dsrc.production_in_transport
 
     def test_incompatible_rejected(self):
         # no dof sits at the injection corner (1, 1) of the radial test

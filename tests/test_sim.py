@@ -251,6 +251,33 @@ class TestTransportOperatorReuse:
         assert np.array_equal(steps[0][0], steps[1][0])
 
 
+class TestRadialProduction:
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(test="analytic1", scheme="a", n=8, dt=0.04),
+        RunConfig(test="analytic1", scheme="b", reps=4, dt=0.04),
+    ], ids=["a", "b"])
+    def test_every_producing_dof_is_fixed_or_reacts(self, cfg):
+        """Solute leaves with the fluid: a producing dof is a Dirichlet dof
+        or carries its production on the diagonal of the transport
+        operator's base."""
+        problem = build_problem(cfg)
+        gd, dsrc, dofs = problem.gd, problem.dsrc, problem.dirichlet_dofs
+        U = np.zeros((gd.n_grad_cells, 2))
+
+        def base_diagonal(dsrc):
+            return assembly.TransportOperator(
+                gd, U, cfg.dt, dsrc, problem.params, "centred",
+                dofs).base.diagonal()
+        reaction = base_diagonal(dsrc) - base_diagonal(
+            assembly.DiscreteSources(q_injection=dsrc.q_injection,
+                                     q_production=np.zeros(gd.ndof)))
+        free = np.setdiff1d(np.flatnonzero(dsrc.q_production), dofs)
+        # the far ends (1, 0) and (0, 1) of the two producing edges
+        assert np.array_equal(gd.anchors[free], [[1.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(reaction[free], dsrc.q_production[free],
+                           rtol=1e-12, atol=0.0)
+
+
 class TestAssemblyPatternCache:
     # M != 1 without dispersion: a pressure matrix and a transport operator
     # per step, all on the one pattern without cross terms; lit2's D12
