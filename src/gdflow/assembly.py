@@ -194,10 +194,9 @@ class TransportOperator:
         self.dirichlet_dofs = dirichlet_dofs
         self.dirichlet_rows = None
         if dirichlet_dofs is not None:
-            fixed = np.zeros(gd.ndof, dtype=bool)
-            fixed[dirichlet_dofs] = True
+            row = np.repeat(np.arange(gd.ndof), np.diff(P.indptr))
             self.dirichlet_rows = (
-                np.flatnonzero(np.repeat(fixed, np.diff(P.indptr))),
+                np.flatnonzero(np.isin(row, dirichlet_dofs)),
                 P.diag[dirichlet_dofs])
         self.cache = linalg.FactorizationCache()
 
