@@ -243,10 +243,8 @@ def _cmd_run(args):
     out.mkdir(parents=True, exist_ok=True)  # an unusable path fails early
 
     def snapshot(step, t, state):
-        vtk_path = out / f"fields_{step}.vtk"
-        write_vtk(state.gd, {"c": state.c, "p": state.p}, vtk_path,
-                  velocity=state.U)
-        validate_vtk(vtk_path)
+        write_vtk(state.gd, {"c": state.c, "p": state.p},
+                  out / f"fields_{step}.vtk", velocity=state.U)
 
     state, report = sim.run_coupled(config, snapshot_cb=snapshot)
     write_error_rows(out / "errors.csv", [{

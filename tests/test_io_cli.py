@@ -414,22 +414,6 @@ class TestCli:
         validate_vtk(out / "fields_8.vtk")
         assert "L1=" in capsys.readouterr().out
 
-    def test_run_vtk_header_without_size_exit_1(self, tmp_path, capsys,
-                                                monkeypatch):
-        def write_without_size(gd, fields, path, velocity=None):
-            write_vtk(gd, fields, path, velocity=velocity)
-            lines = path.read_text().splitlines()
-            at = next(i for i, ln in enumerate(lines)
-                      if ln.startswith("CELLS"))
-            lines[at] = " ".join(lines[at].split()[:2])
-            path.write_text("\n".join(lines) + "\n")
-        monkeypatch.setattr(io_cli, "write_vtk", write_without_size)
-        path = write_config(
-            tmp_path, "test=analytic1\nscheme=a\nn=4\ndt=0.1\nvtk_every=1\n"
-                      f"out_dir={tmp_path / 'out'}\n")
-        assert main(["run", "--config", str(path)]) == 1
-        assert "CELLS header lacks its size" in capsys.readouterr().err
-
     def test_run_determinism(self, tmp_path):
         cfg_text = "test=analytic1\nscheme=a\nn=8\ndt=0.05\n"
         outs = []

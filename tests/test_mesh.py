@@ -165,6 +165,21 @@ class TestValidateMesh:
         with pytest.raises(MeshError, match=r"edge \(0, 1\) shared by 3"):
             validate_mesh(TriangularMesh(vertices=vertices, triangles=triangles))
 
+    def test_edge_shared_by_three_in_mixed_directions(self):
+        # every triangle positive, so a third one on (0, 1) repeats one of
+        # its two directions
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0],
+                             [0.5, -1.0], [0.5, 2.0]])
+        triangles = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        with pytest.raises(MeshError, match=r"edge \(0, 1\) shared by"):
+            validate_mesh(TriangularMesh(vertices=vertices, triangles=triangles))
+
+    @pytest.mark.parametrize("L", [1.0, 1000.0, 1e150])
+    @pytest.mark.parametrize("reps", [1, 2, 5, 16])
+    def test_structured_triangulation_is_valid(self, reps, L):
+        # the builder skips validate_mesh: its meshes are valid by construction
+        validate_mesh(build_structured_triangulation(reps, L), area=L * L)
+
     @pytest.mark.parametrize("reps", [1, 2, 5, 16])
     def test_structured_directed_edges_unique(self, reps):
         triangles = build_structured_triangulation(reps, 1.0).triangles
