@@ -90,8 +90,7 @@ class GradientDiscretisation:
         tensor field A = [[a11, a12], [a12, a22]], constant or one value per
         gradient cell; the defaults give the Gram matrix of the gradients.
         It lies on ``pattern(cross)``, cross telling whether a12 is nonzero
-        anywhere, and entries that cancel stay stored as zeros; the values
-        are rounded as by the sparse products grad^T diag(|g| a) grad."""
+        anywhere, and entries that cancel stay stored as zeros."""
         _, gx, gy, _ = self.local
         mg = self.grad_measures
         terms = [(gx, mg * a11, gx), (gy, mg * a22, gy)]
@@ -151,20 +150,17 @@ class AssemblyPattern:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
     def assemble(self, terms):
-        """The matrix on P that sums the ``terms`` (u, w, v) in order: the
-        local blocks (u_ig w_g) v_jg of the (k, ngrad) rows u, v and the
-        cell weights w, each summed over the cells in ascending order, so
-        rounded as the sparse product u^T diag(w) v."""
-        total = np.zeros(self.nnz + 1)
-        for u, w, v in terms:
-            data = np.zeros_like(total)
-            for start in range(0, len(self.pos), _CHUNK):
-                c = slice(start, start + _CHUNK)
-                local = (u[:, c].T * w[c, None])[:, :, None] \
-                    * v[:, c].T[:, None, :]
-                np.add.at(data, self.pos[c].ravel(), local.ravel())
-            total += data
-        return self.matrix(total[:-1])
+        """The matrix on P of sum u^T diag(w) v over the ``terms`` (u, w, v),
+        u and v (k, ngrad) rows and w the cell weights: the local blocks
+        (u_ig w_g) v_jg are summed over the terms cell by cell, then
+        scattered onto P once."""
+        data = np.zeros(self.nnz + 1)
+        for start in range(0, len(self.pos), _CHUNK):
+            c = slice(start, start + _CHUNK)
+            local = sum((u[:, c].T * w[c, None])[:, :, None]
+                        * v[:, c].T[:, None, :] for u, w, v in terms)
+            np.add.at(data, self.pos[c].ravel(), local.ravel())
+        return self.matrix(data[:-1])
 
 
 # gradient cells per chunk of AssemblyPattern.assemble: one chunk for the
