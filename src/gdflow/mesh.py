@@ -149,9 +149,8 @@ def build_structured_triangulation(reps, L):
     ``reps`` copies of the base pattern per side give 2*reps square blocks
     per side, each split into two triangles along a diagonal whose direction
     alternates with block parity (criss-cross).  Triangles are numbered
-    block by block, i fastest, two per block.  The mesh is valid by
-    construction, so it is not passed through ``validate_mesh``; the tests
-    check that it would pass.
+    block by block, i fastest, two per block.  Valid by construction, the
+    mesh skips ``validate_mesh``; the tests check that it would pass.
     """
     if reps < 1:
         raise MeshError(f"replication count must be >= 1, got {reps}")
@@ -222,7 +221,9 @@ def load_mesh(path):
 
     def read_rows(n, width, conv, what):
         nonlocal pos
-        rows = np.empty((n, width), dtype=float if conv is float else int)
+        # no more rows than lines left: a larger count is an end of file
+        rows = np.empty((min(n, len(tokens) - pos), width),
+                        dtype=float if conv is float else int)
         for r in range(n):
             if pos >= len(tokens):
                 raise MeshParseError(f"unexpected end of file while reading {what}")

@@ -67,8 +67,8 @@ class RunConfig:
         cfg = replace(self, **updates)
         if cfg.dt is None or not (np.isfinite(cfg.dt) and cfg.dt > 0):
             raise ConfigError("a positive finite time step dt is required")
-        if not np.isfinite(cfg.t_final):
-            raise ConfigError(f"t_final must be finite, got {cfg.t_final}")
+        if not np.isfinite(cfg.t_final / cfg.dt):
+            raise ConfigError(f"t_final/dt={cfg.t_final}/{cfg.dt} is not finite")
         n_steps = round(cfg.t_final / cfg.dt)
         if n_steps < 1 or abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.t_final:
             raise ConfigError(

@@ -6,9 +6,9 @@ partial-sum form of the radial profile, the ray-angle form of the lineic
 production, and the loop builders of the structured triangulation, the edge
 incidence counts, the VTK polygons, the Gauss points of rectangles and the
 P1 gradients and dual quadrature points.  ``save_mesh`` writes the mesh
-files the tests read back, and ``REPEATED_EDGE_FILES`` holds two invalid
-ones.  ``transport_matrices`` and
-``transport_jacobian`` are the per-step and per-iteration transport
+files the tests read back; ``VERTICES_ONLY_FILE``,
+``HUGE_VERTEX_COUNT_FILE`` and ``REPEATED_EDGE_FILES`` are invalid ones.
+``transport_matrices`` and ``transport_jacobian`` are the per-step and per-iteration transport
 assembly that ``TransportOperator`` replaced, and ``grad_gram``,
 ``convection_matrix`` and ``artificial_diffusion`` the sparse-product
 assembly that the cached ``AssemblyPattern`` replaced; the products drop
@@ -203,13 +203,16 @@ def save_mesh(mesh, path):
         np.savetxt(f, mesh.triangles, fmt="%d")
 
 
+# a mesh file that ends before its triangles header
+VERTICES_ONLY_FILE = "vertices 3\n0 0\n1 0\n0 1\n"
+
+# a mesh file declaring terabytes of vertex rows and holding one
+HUGE_VERTEX_COUNT_FILE = "vertices 400000000000\n0 0\n"
+
 # one triangle given twice (area 1, no boundary edge), and a unit square
 # with a third triangle folded over its two (area 1.5): each runs edge
 # (0, 1) twice the same way, which no positively oriented conforming mesh
 # does
-# a mesh file that ends before its triangles header
-VERTICES_ONLY_FILE = "vertices 3\n0 0\n1 0\n0 1\n"
-
 REPEATED_EDGE_FILES = {
     "duplicated": "vertices 3\n0 0\n1 0\n0 1\n"
                   "triangles 2\n0 1 2\n0 1 2\n",

@@ -22,8 +22,9 @@ from gdflow.mesh import (
 )
 from gdflow.sim import ConfigError, RunConfig
 
-from oracles import REPEATED_EDGE_FILES, VERTICES_ONLY_FILE, \
-    loop_scheme_a_polygons, loop_scheme_b_polygons, save_mesh
+from oracles import HUGE_VERTEX_COUNT_FILE, REPEATED_EDGE_FILES, \
+    VERTICES_ONLY_FILE, loop_scheme_a_polygons, loop_scheme_b_polygons, \
+    save_mesh
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -344,8 +345,10 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    # the last two overflow t_final / dt
     @pytest.mark.parametrize("lines", ["dt=inf", "dt=nan",
-                                       "dt=18\nt_final=inf"])
+                                       "dt=18\nt_final=inf", "dt=1e-320",
+                                       "dt=1e-300\nt_final=1e300"])
     def test_run_non_finite_time_exit_1(self, tmp_path, capsys, lines):
         path = write_config(tmp_path, f"test=lit2\nscheme=a\nn=4\n{lines}\n")
         assert main(["run", "--config", str(path)]) == 1
@@ -572,6 +575,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == ("configuration error: unexpected end of file, "
                                 "expected 'triangles' header\n")
+        assert captured.out == ""
+
+    def test_mesh_info_huge_vertex_count_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.mesh"
+        path.write_text(HUGE_VERTEX_COUNT_FILE)
+        assert main(["mesh-info", "--mesh-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: unexpected end of file "
+                                "while reading vertex\n")
         assert captured.out == ""
 
     def test_mesh_info_requires_argument(self, capsys):

@@ -16,8 +16,8 @@ from gdflow.mesh import (
     validate_mesh,
 )
 
-from oracles import REPEATED_EDGE_FILES, VERTICES_ONLY_FILE, \
-    loop_edge_counts, loop_triangles, save_mesh
+from oracles import HUGE_VERTEX_COUNT_FILE, REPEATED_EDGE_FILES, \
+    VERTICES_ONLY_FILE, loop_edge_counts, loop_triangles, save_mesh
 
 
 def jittered_mesh_file(tmp_path, reps=3, seed=3):
@@ -297,9 +297,14 @@ class TestMeshFile:
         with pytest.raises(MeshParseError, match=message):
             load_mesh(path)
 
-    def test_truncated_file(self, tmp_path):
+    # the huge counts are rejected without allocating their rows
+    @pytest.mark.parametrize("text", [
+        "vertices 4\n0 0\n1 0\n", HUGE_VERTEX_COUNT_FILE,
+        "vertices 3\n0 0\n1 0\n0 1\ntriangles 100000000000\n0 1 2\n"],
+        ids=["short", "huge_vertex_count", "huge_triangle_count"])
+    def test_truncated_file(self, tmp_path, text):
         path = tmp_path / "short.mesh"
-        path.write_text("vertices 4\n0 0\n1 0\n")
+        path.write_text(text)
         with pytest.raises(MeshParseError, match="end of file"):
             load_mesh(path)
 
