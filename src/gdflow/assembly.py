@@ -106,7 +106,7 @@ def solve_pressure(gd, c_prev, mobility, dsrc):
     p = p - (m @ p) / gd.domain_area
     U = -a[:, None] * gd.grad(p)
     info = {"pressure_mean": float(m @ p),
-            "rhs_norm": float(np.linalg.norm(b))}
+            "pressure_rhs_norm": float(np.linalg.norm(b))}
     return p, U, info
 
 

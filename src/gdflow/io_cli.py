@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import assembly, linalg, quality, sim
-from .mesh import build_cartesian, build_dual, \
+from .mesh import _unique_edges, build_cartesian, build_dual, \
     build_structured_triangulation, load_mesh
 from .sim import ConfigError, RunConfig
 
@@ -85,25 +85,20 @@ def _scheme_a_polygons(gd):
 
 
 def _scheme_b_polygons(gd):
-    """Dual cells: the edge midpoints and centroids of the incident triangles
-    (and the vertex itself on the boundary), by angle about their mean."""
+    """Dual cells: the midpoints of the vertex's edges, the centroids of its
+    triangles (and the vertex itself on the boundary), by angle about their
+    mean."""
     mesh = gd.geometry
-    nv = mesh.n_vertices
-    p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-    centroid = np.broadcast_to(p.mean(axis=1)[:, None], p.shape)
-    # per (triangle, corner): the midpoints towards the next two corners
-    m1 = 0.5 * (p + np.roll(p, -1, axis=1))
-    m2 = 0.5 * (p + np.roll(p, -2, axis=1))
-    boundary = np.unique(mesh.boundary_edges())
-    owner = np.concatenate([np.repeat(mesh.triangles.ravel(), 3), boundary])
-    pts = np.concatenate([np.stack([m1, m2, centroid], axis=2).reshape(-1, 2),
-                          mesh.vertices[boundary]])
-    # drop repeated points; the rest keep the (x, y) order the centre sums in
+    nv, v = mesh.n_vertices, mesh.vertices
+    edges, incident = _unique_edges(mesh.triangles)
+    boundary = np.unique(edges[incident == 1])
+    mid = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
+    centroid = np.repeat(v[mesh.triangles].mean(axis=1), 3, axis=0)
+    owner = np.concatenate([edges.T.ravel(), mesh.triangles.ravel(), boundary])
+    pts = np.concatenate([mid, mid, centroid, v[boundary]])
+    # the centre sums each cell's points in (x, y) order
     order = np.lexsort((pts[:, 1], pts[:, 0], owner))
     owner, pts = owner[order], pts[order]
-    distinct = np.ones(len(pts), dtype=bool)
-    distinct[1:] = (owner[1:] != owner[:-1]) | np.any(pts[1:] != pts[:-1], axis=1)
-    owner, pts = owner[distinct], pts[distinct]
     counts = np.bincount(owner, minlength=nv)
     cx = np.bincount(owner, weights=pts[:, 0], minlength=nv) / counts
     cy = np.bincount(owner, weights=pts[:, 1], minlength=nv) / counts

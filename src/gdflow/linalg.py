@@ -6,7 +6,9 @@ residual.  ``spd_solver`` factors once and returns a solve for any number
 of right-hand sides.  Given m, it solves the zero-mean elliptic system
 (A + m m^T) x = b, where A annihilates constants: the last dof is pinned,
 A x0 = b - s m is solved with s = sum(b) / sum(m), and a constant shift
-gives m^T x = s, which holds for every exact solution.  ``solve_pcg``
+gives m^T x = s, which holds for every exact solution.  For an A whose
+rows do not sum to zero that x is wrong, and the residual check rejects
+it.  ``solve_pcg``
 solves an SPD system by CG preconditioned with the LU of a spectrally
 equivalent one: ``quality`` solves (M + G) w = r with the LU of
 E = G + m m^T, and spectrum(E^-1 (M + G)) lies in [1, 1 + C_D^2] on the
@@ -20,9 +22,6 @@ import scipy.sparse.linalg as spla
 
 # ||A x - b|| relative to ||b|| above which a solve fails
 RESIDUAL_TOL = 1e-10
-# |A 1| relative to the row sums of |A| below which a row counts as
-# annihilating constants
-ZERO_ROW_SUM_TOL = 1e-10
 # changed columns a FactorizationCache solves as an update of its last LU
 MAX_UPDATE_RANK = 32
 # iterations of a preconditioned CG solve before it fails
@@ -81,8 +80,8 @@ def spd_solver(A, rank_one=None):
     (A + m m^T) x = b.
 
     ``rank_one`` is the optional vector m; A must then annihilate
-    constants.  Each solve rejects a non-finite b and raises SolverError
-    unless ||(A + m m^T) x - b|| <= RESIDUAL_TOL * ||b||.
+    constants, or no solve passes.  Each solve rejects a non-finite b and
+    raises SolverError unless ||(A + m m^T) x - b|| <= RESIDUAL_TOL * ||b||.
     """
     A = _as_csr(A)
     if not np.all(A.data):  # stored zeros would only add LU fill
@@ -93,11 +92,6 @@ def spd_solver(A, rank_one=None):
         direct = _lu(A).solve
     else:
         m = np.asarray(rank_one, dtype=float)
-        ones = np.ones(n)
-        if not np.all(np.abs(A @ ones)
-                      <= ZERO_ROW_SUM_TOL * (abs(A) @ ones)):
-            raise SolverError("rank-one solve needs a matrix whose rows "
-                              "sum to zero")
         msum = float(m.sum())
         pinned = _lu(A[:-1, :-1])
 
@@ -153,9 +147,9 @@ class FactorizationCache:
     - otherwise, when the kept Z_j would exceed MAX_UPDATE_RANK, or when A
       has another pattern, by factoring A, which becomes A0.
     Every solve rejects a non-finite b and checks the residual against A.
-    An update that misses RESIDUAL_TOL, or whose capacitance matrix is
-    singular, is redone by factoring A; SolverError follows if that misses
-    too.
+    An update that misses RESIDUAL_TOL (a non-finite one does), or whose
+    capacitance matrix is singular, is redone by factoring A; SolverError
+    follows if that misses too.
     """
 
     def __init__(self):
@@ -190,8 +184,6 @@ class FactorizationCache:
             return None
         at = at[np.argsort(A.indices[at], kind="stable")]
         values = A.data[at] - A0.data[at]
-        if not np.all(np.isfinite(values)):
-            return None
         # the rows and values of each D_j, in ascending row order
         split = np.searchsorted(A.indices[at], S[1:])
         parts = zip(np.split(np.searchsorted(A.indptr, at, side="right") - 1,
@@ -221,8 +213,6 @@ class FactorizationCache:
         update = self._update(A)
         if update is None:
             self._factor(A)
-        if bnorm == 0.0:
-            return np.zeros(A.shape[0])
         if update is not None and len(update[0]):
             try:
                 return _checked(A, self._solve_update(b, *update), b, bnorm)

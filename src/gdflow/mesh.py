@@ -3,6 +3,7 @@ triangulations with barycentric dual cells, and a plain-text mesh file reader.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -114,7 +115,7 @@ def _unique_edges(triangles, directed=False):
     return np.column_stack(np.divmod(keys, n)), counts
 
 
-def validate_mesh(mesh, area=None):
+def validate_mesh(mesh):
     """Check orientation and conformity invariants; raise MeshError on failure."""
     if mesh.triangles.min(initial=0) < 0 or mesh.triangles.max(initial=-1) >= mesh.n_vertices:
         raise MeshError("triangle vertex index out of range")
@@ -138,8 +139,6 @@ def validate_mesh(mesh, area=None):
         k = int(np.argmax(counts > 1))
         raise MeshError(f"directed edge {tuple(edges[k].tolist())} shared by "
                         f"{counts[k]} triangles")
-    if area is not None and abs(total - area) > 1e-12 * area:
-        raise MeshError(f"triangle areas sum to {total!r}, expected {area!r}")
     return mesh
 
 
@@ -188,6 +187,34 @@ def build_dual(mesh):
     return measures
 
 
+def _read_block(lines, name, what, width, dtype):
+    """The rows of the block ``name <n>`` that starts ``lines``, an iterator
+    of (line number, fields): n rows of ``width`` entries each."""
+    header = next(lines, None)
+    if header is None:
+        raise MeshParseError(f"unexpected end of file, expected '{name}' header")
+    lineno, fields = header
+    if len(fields) != 2 or fields[0] != name:
+        raise MeshParseError(f"expected '{name} <{what}>'", line=lineno)
+    try:
+        n = int(fields[1])
+    except ValueError:
+        raise MeshParseError(f"bad {what} count {fields[1]!r}", line=lineno)
+    if n < 0:
+        raise MeshParseError(f"negative {what} count", line=lineno)
+    rows = []  # no more rows than the file has lines, whatever n says
+    for lineno, fields in islice(lines, n):
+        if len(fields) != width:
+            raise MeshParseError(f"expected {width} fields for {what}", line=lineno)
+        try:
+            rows.append(np.array(fields, dtype=dtype))
+        except (ValueError, OverflowError):
+            raise MeshParseError(f"bad {what} entry {fields!r}", line=lineno)
+    if len(rows) < n:
+        raise MeshParseError(f"unexpected end of file while reading {what}")
+    return np.array(rows, dtype=dtype).reshape(n, width)
+
+
 def load_mesh(path):
     """Read a mesh from the plain-text format and validate it.
 
@@ -195,54 +222,13 @@ def load_mesh(path):
     ``triangles <m>`` followed by m lines ``i j k`` (0-based).
     Lines starting with ``#`` are comments.
     """
-    tokens = []  # (line_number, [fields])
     with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                tokens.append((lineno, line.split()))
-    pos = 0
-
-    def expect_header(name, count_of):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise MeshParseError(f"unexpected end of file, expected '{name}' header")
-        lineno, fields = tokens[pos]
-        if len(fields) != 2 or fields[0] != name:
-            raise MeshParseError(f"expected '{name} <{count_of}>'", line=lineno)
-        try:
-            n = int(fields[1])
-        except ValueError:
-            raise MeshParseError(f"bad {count_of} count {fields[1]!r}", line=lineno)
-        if n < 0:
-            raise MeshParseError(f"negative {count_of} count", line=lineno)
-        pos += 1
-        return n
-
-    def read_rows(n, width, conv, what):
-        nonlocal pos
-        # no more rows than lines left: a larger count is an end of file
-        rows = np.empty((min(n, len(tokens) - pos), width),
-                        dtype=float if conv is float else int)
-        for r in range(n):
-            if pos >= len(tokens):
-                raise MeshParseError(f"unexpected end of file while reading {what}")
-            lineno, fields = tokens[pos]
-            if len(fields) != width:
-                raise MeshParseError(f"expected {width} fields for {what}", line=lineno)
-            try:
-                rows[r] = [conv(x) for x in fields]
-            except ValueError:
-                raise MeshParseError(f"bad {what} entry {fields!r}", line=lineno)
-            pos += 1
-        return rows
-
-    nv = expect_header("vertices", "vertex")
-    vertices = read_rows(nv, 2, float, "vertex")
-    nt = expect_header("triangles", "triangle")
-    triangles = read_rows(nt, 3, int, "triangle")
-    if pos != len(tokens):
+        lines = ((lineno, fields) for lineno, raw in enumerate(f, start=1)
+                 if (fields := raw.split("#", 1)[0].split()))
+        vertices = _read_block(lines, "vertices", "vertex", 2, float)
+        triangles = _read_block(lines, "triangles", "triangle", 3, int)
+        trailing = next(lines, None)
+    if trailing is not None:
         raise MeshParseError("trailing content after triangle block",
-                             line=tokens[pos][0])
+                             line=trailing[0])
     return validate_mesh(TriangularMesh(vertices=vertices, triangles=triangles))
-

@@ -133,17 +133,16 @@ class AnalyticalRadialSolution:
     dm: float
 
     def __post_init__(self):
-        n = self.series_order_exact()
-        if abs(n - round(n)) > 1e-9 or round(n) < 0:
+        if not self.dm > 0:
+            raise ValueError(f"dm must be positive, got {self.dm}")
+        n = 2.0 / (4.0 * self.dm) - 1.0
+        if not np.isfinite(n) or abs(n - round(n)) > 1e-9 or round(n) < 0:
             raise ValueError(
                 f"dm={self.dm} gives non-integer series order {n}")
 
-    def series_order_exact(self):
-        return 2.0 / (4.0 * self.dm) - 1.0
-
     @property
     def N(self):
-        return int(round(self.series_order_exact()))
+        return int(round(2.0 / (4.0 * self.dm) - 1.0))
 
     def concentration(self, x, t):
         """Exact concentration at points x (n, 2) and time t > 0."""

@@ -230,12 +230,8 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
         row = {
             "step": n + 1,
             "t": float(t_next),
-            "pressure_mean": p_info["pressure_mean"],
-            "pressure_rhs_norm": p_info["rhs_norm"],
-            "picard_iters": t_info["picard_iters"],
-            "picard_residual": t_info["picard_residual"],
-            "picard_relative": t_info["picard_relative"],
-            "backtracks": t_info["backtracks"],
+            **p_info,
+            **t_info,
             "factorizations": operator.cache.factorizations - factored,
             "cmin": float(c.min()),
             "cmax": float(c.max()),

@@ -27,6 +27,26 @@ from oracles import HUGE_VERTEX_COUNT_FILE, REPEATED_EDGE_FILES, \
     save_mesh
 
 
+def perturbed_triangulation(reps, amplitude, seed=0):
+    """The structured triangulation of the unit square with its interior
+    vertices moved by up to ``amplitude`` in x and y."""
+    mesh = build_structured_triangulation(reps, 1.0)
+    v = mesh.vertices.copy()
+    inner = np.all((v > 1e-9) & (v < 1.0 - 1e-9), axis=1)
+    v[inner] += np.random.default_rng(seed).uniform(
+        -amplitude, amplitude, (int(inner.sum()), 2))
+    return TriangularMesh(vertices=v, triangles=mesh.triangles)
+
+
+# scheme b meshes whose VTK geometry is checked against the loop oracle
+B_MESHES = {
+    "b": lambda: build_structured_triangulation(2, 1.0),
+    "b-tri5-L1000": lambda: build_structured_triangulation(5, 1000.0),
+    "b-tri16": lambda: build_structured_triangulation(16, 1.0),
+    "b-tri8-perturbed": lambda: perturbed_triangulation(8, 0.02),
+}
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -256,13 +276,13 @@ class TestVtk:
         assert paths[0].read_bytes() == paths[2].read_bytes()
         assert paths[0].read_bytes() != paths[1].read_bytes()
 
-    @pytest.mark.parametrize("kind", ["a", "b"])
+    @pytest.mark.parametrize("kind", ["a", *B_MESHES])
     def test_geometry_text_matches_savetxt_of_oracle(self, kind):
         if kind == "a":
             gd = scheme_a(build_cartesian(3, 1.0))
             points, polys = loop_scheme_a_polygons(gd.geometry)
         else:
-            mesh = build_structured_triangulation(2, 1.0)
+            mesh = B_MESHES[kind]()
             gd = scheme_b(mesh, build_dual(mesh))
             points, polys = loop_scheme_b_polygons(mesh)
         ref = io.StringIO()
@@ -353,6 +373,15 @@ class TestCli:
         path = write_config(tmp_path, f"test=lit2\nscheme=a\nn=4\n{lines}\n")
         assert main(["run", "--config", str(path)]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dm", ["0", "1e-320"])
+    def test_run_analytic_without_series_order_exit_1(self, tmp_path, capsys,
+                                                      dm):
+        path = write_config(tmp_path, f"test=analytic1\nscheme=a\nn=4\n"
+                                      f"dt=0.1\ndm={dm}\n"
+                                      f"out_dir={tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
 
     @pytest.mark.parametrize("lines", ["scheme=a\nn=4", "scheme=b\nlevel=8"])
     def test_run_conflicting_mesh_keys_exit_1(self, tmp_path, capsys, lines):
@@ -584,6 +613,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == ("configuration error: unexpected end of file "
                                 "while reading vertex\n")
+        assert captured.out == ""
+
+    def test_mesh_info_int64_overflow_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "overflow.mesh"
+        path.write_text("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n"
+                        "0 1 99999999999999999999\n")
+        assert main(["mesh-info", "--mesh-file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: line 6: bad triangle "
+                                "entry ['0', '1', '99999999999999999999']\n")
         assert captured.out == ""
 
     def test_mesh_info_requires_argument(self, capsys):

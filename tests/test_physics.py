@@ -187,6 +187,14 @@ class TestAnalyticalRadialSolution:
         with pytest.raises(ValueError):
             AnalyticalRadialSolution(dm=0.07)
 
+    @pytest.mark.parametrize("dm, message", [
+        (0.0, "dm must be positive"), (-0.05, "dm must be positive"),
+        (float("nan"), "dm must be positive"),
+        (1e-320, "non-integer series order inf")])
+    def test_no_series_order_rejected(self, dm, message):
+        with pytest.raises(ValueError, match=message):
+            AnalyticalRadialSolution(dm=dm)
+
     def test_centre_value(self):
         sol = AnalyticalRadialSolution(dm=0.05)
         assert sol.concentration(np.array([1.0, 1.0]), 0.123) == 1.0
