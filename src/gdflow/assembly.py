@@ -88,7 +88,7 @@ def pressure_matrix(gd, c_prev, mobility):
     return gd.grad_gram(a, a), a
 
 
-def solve_pressure(gd, c_prev, mobility, dsrc):
+def solve_pressure(gd, c_prev, mobility, dsrc, orderings=None):
     """Solve the zero-mean pressure system and reconstruct the Darcy field.
 
     Returns (p, U, info); U is the per-gradient-cell velocity
@@ -101,7 +101,7 @@ def solve_pressure(gd, c_prev, mobility, dsrc):
     # domain scale: with the measures m themselves it grows like |Omega|^2
     # and its rounding alone exceeds the residual bound on (0, 1000)^2
     mean = m / gd.domain_area
-    p = linalg.solve_spd(G, b, rank_one=mean)
+    p = linalg.solve_spd(G, b, rank_one=mean, orderings=orderings)
     # pin the zero-mean normalisation exactly (G annihilates constants)
     p = p - (m @ p) / gd.domain_area
     U = -a[:, None] * gd.grad(p)
@@ -173,10 +173,11 @@ class TransportOperator:
     values alone.  Each step prescribes values on ``dirichlet_dofs``, if
     given, whose rows of each Jacobian become identity rows in place at
     the positions ``dirichlet_rows`` in P.  ``cache`` holds the LU of the
-    Jacobians and lives as long as the operator.
+    Jacobians (with ``orderings``) and lives as long as the operator.
     """
 
-    def __init__(self, gd, U, dt, dsrc, params, variant, dirichlet_dofs=None):
+    def __init__(self, gd, U, dt, dsrc, params, variant, dirichlet_dofs=None,
+                 orderings=None):
         if dirichlet_dofs is not None and len(dirichlet_dofs) == 0:
             raise ConfigError("empty Dirichlet dof set")
         self.dt = dt
@@ -198,7 +199,7 @@ class TransportOperator:
             self.dirichlet_rows = (
                 np.flatnonzero(np.isin(row, dirichlet_dofs)),
                 P.diag[dirichlet_dofs])
-        self.cache = linalg.FactorizationCache()
+        self.cache = linalg.FactorizationCache(orderings)
 
     def jacobian(self, theta):
         """base + C diag(theta) on P, with identity rows on the Dirichlet

@@ -1,20 +1,16 @@
 """Sparse solvers for the per-step systems.
 
-Systems are solved with sparse LUs (minimum-degree ordering of A^T + A),
-and every solution is checked against an independently recomputed
-residual.  ``spd_solver`` factors once and returns a solve for any number
-of right-hand sides.  Given m, it solves the zero-mean elliptic system
-(A + m m^T) x = b, where A annihilates constants: the last dof is pinned,
-A x0 = b - s m is solved with s = sum(b) / sum(m), and a constant shift
-gives m^T x = s, which holds for every exact solution.  For an A whose
-rows do not sum to zero that x is wrong, and the residual check rejects
-it.  ``solve_pcg``
-solves an SPD system by CG preconditioned with the LU of a spectrally
-equivalent one: ``quality`` solves (M + G) w = r with the LU of
-E = G + m m^T, and spectrum(E^-1 (M + G)) lies in [1, 1 + C_D^2] on the
-unit square.  ``FactorizationCache`` solves a sequence of transport
-systems with few factorisations, by low-rank updates of one LU.
+Every system is solved with a SuperLU factorisation on narrow supernodes
+(``SUPERNODES``), and every solution is checked against an independently
+recomputed residual.  A run orders each sparsity pattern once for all its
+LUs (``_lu``; symbolic and numeric factorisation separated as in Davis,
+Direct Methods for Sparse Linear Systems, 2006).  ``spd_solver`` solves
+(A + m m^T) x = b for any number of right-hand sides, ``solve_pcg`` is CG
+preconditioned with such a solve, and ``FactorizationCache`` solves a
+sequence of transport systems by low-rank updates of one LU.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +22,10 @@ RESIDUAL_TOL = 1e-10
 MAX_UPDATE_RANK = 32
 # iterations of a preconditioned CG solve before it fails
 CG_MAX_ITER = 50
+# SuperLU supernode relaxation and panel width (Demmel et al., SIAM J.
+# Matrix Anal. Appl. 20, 1999): narrow supernodes factor these matrices
+# fastest; relax > panel_size corrupts SuperLU's heap
+SUPERNODES = {"relax": 1, "panel_size": 1}
 
 
 class SolverError(RuntimeError):
@@ -50,11 +50,37 @@ def residual_norm(A, x, b, rank_one=None):
     return float(np.linalg.norm(r))
 
 
-def _lu(A):
+def _lu(A, orderings=None):
+    """The LU of the CSR matrix A (or an object with its ``solve``) in the
+    minimum-degree ordering p of A^T + A.  ``orderings``, one run's list of
+    the patterns it factored, keeps p, q = p^-1 and the positions in A of
+    the CSC pattern of A[q][:, q]; a later LU of the pattern gathers A's
+    values into that pattern and factors it in natural order."""
     try:
-        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        for indptr, indices, p, q, at, Bi, Bp in orderings or ():
+            if np.array_equal(A.indptr, indptr) \
+                    and np.array_equal(A.indices, indices):
+                B = sp.csc_matrix((A.data[at], Bi, Bp), shape=A.shape)
+                lu = spla.splu(B, permc_spec="NATURAL", **SUPERNODES)
+                return SimpleNamespace(solve=lambda b: lu.solve(b[q])[p])
+        # kept arrays first, not to fragment the heap; intp p, q gather fast
+        if orderings is not None:
+            n, m = A.shape[0], A.nnz
+            entry = (A.indptr.copy(), A.indices.copy()) + tuple(
+                np.empty(k, t) for k, t in zip((n, n, m, m, n + 1), "ppiii"))
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", **SUPERNODES)
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorisation failed: {exc}") from exc
+    if orderings is not None:
+        indptr, indices, p, q, at, Bi, Bp = entry
+        p[:] = lu.perm_c
+        q[p] = np.arange(n)
+        # entry (i, j) of A is entry (p[i], p[j]) of A[q][:, q]
+        row, col = p[np.repeat(np.arange(n), np.diff(indptr))], p[indices]
+        at[:] = np.lexsort((row, col))  # column by column, rows ascending
+        Bi[:], Bp[:] = row[at], np.searchsorted(col[at], np.arange(n + 1))
+        orderings.append(entry)
+    return lu
 
 
 def _finite_rhs(b):
@@ -75,13 +101,14 @@ def _checked(A, x, b, bnorm, rank_one=None):
     return x
 
 
-def spd_solver(A, rank_one=None):
-    """Factor the nonzeros of A once; return ``solve(b)`` for
+def spd_solver(A, rank_one=None, orderings=None):
+    """Factor the nonzeros of A once (see ``_lu``); return ``solve(b)`` for
     (A + m m^T) x = b.
 
-    ``rank_one`` is the optional vector m; A must then annihilate
-    constants, or no solve passes.  Each solve rejects a non-finite b and
-    raises SolverError unless ||(A + m m^T) x - b|| <= RESIDUAL_TOL * ||b||.
+    With m = ``rank_one``, A must annihilate constants, or no solve passes:
+    the last dof is pinned, A x0 = b - s m is solved with s = sum(b)/sum(m),
+    and a constant shift gives m^T x = s.  Each solve rejects a non-finite
+    b; SolverError unless ||(A + m m^T) x - b|| <= RESIDUAL_TOL * ||b||.
     """
     A = _as_csr(A)
     if not np.all(A.data):  # stored zeros would only add LU fill
@@ -89,11 +116,11 @@ def spd_solver(A, rank_one=None):
         A.eliminate_zeros()
     n = A.shape[0]
     if rank_one is None:
-        direct = _lu(A).solve
+        direct = _lu(A, orderings).solve
     else:
         m = np.asarray(rank_one, dtype=float)
         msum = float(m.sum())
-        pinned = _lu(A[:-1, :-1])
+        pinned = _lu(A[:-1, :-1], orderings)
 
         def direct(b):
             s = b.sum() / msum
@@ -107,9 +134,9 @@ def spd_solver(A, rank_one=None):
     return solve
 
 
-def solve_spd(A, b, rank_one=None):
+def solve_spd(A, b, rank_one=None, orderings=None):
     """Solve (A + m m^T) x = b once; see ``spd_solver``."""
-    return spd_solver(A, rank_one)(b)
+    return spd_solver(A, rank_one, orderings)(b)
 
 
 def solve_pcg(A, b, precond):
@@ -127,32 +154,29 @@ def solve_pcg(A, b, precond):
 
 
 def solve_general(A, b):
-    """Solve a nonsymmetric sparse system (the plain LU path of
-    ``spd_solver`` needs no symmetry)."""
+    """Solve a nonsymmetric sparse system with ``spd_solver``'s LU."""
     return spd_solver(A)(b)
 
 
 class FactorizationCache:
     """Solves a sequence of transport systems with few LU factorisations.
 
-    Keeps a reference matrix A0, as its own copy so that a caller may change
-    a matrix in place, and its LU.  A new A on the pattern of A0 (the same
-    shape, ``indptr`` and ``indices``), whose D = A - A0 changes the columns
-    S (read from the values), is solved
+    Keeps a reference matrix A0 (its own copy: a caller may change a matrix
+    in place) and its LU, ordered by ``orderings`` if given.  A new A on
+    the pattern of A0 whose D = A - A0 changes the columns S is solved
     - with the LU of A0 when S is empty;
     - as x = y - Z_S (I + Z_S[S, :])^-1 y[S], y = A0^-1 b, Z_j = A0^-1 D_j
       (Sherman-Morrison-Woodbury) when |S| <= MAX_UPDATE_RANK.  Each Z_j
-      is kept while D_j stays exactly equal, until A0 is replaced, in at
-      most MAX_UPDATE_RANK * n doubles;
+      is kept while D_j stays exactly equal, until A0 is replaced;
     - otherwise, when the kept Z_j would exceed MAX_UPDATE_RANK, or when A
       has another pattern, by factoring A, which becomes A0.
     Every solve rejects a non-finite b and checks the residual against A.
-    An update that misses RESIDUAL_TOL (a non-finite one does), or whose
-    capacitance matrix is singular, is redone by factoring A; SolverError
-    follows if that misses too.
+    An update with a non-finite Z_j, a singular capacitance matrix or a
+    residual above RESIDUAL_TOL is redone by factoring A.
     """
 
-    def __init__(self):
+    def __init__(self, orderings=None):
+        self._orderings = orderings
         self._drop()
         self.factorizations = 0
 
@@ -162,7 +186,7 @@ class FactorizationCache:
 
     def _factor(self, A):
         self._drop()  # free the old LU before SuperLU allocates the new one
-        self._lu = _lu(A)
+        self._lu = _lu(A, self._orderings)
         self._A = A.copy()
         self._Z = np.zeros((MAX_UPDATE_RANK, A.shape[0]))
         self.factorizations += 1
@@ -170,7 +194,7 @@ class FactorizationCache:
     def _update(self, A):
         """The columns S in which A differs from A0 and the rows of their
         Z_j in ``_Z``, computing the Z_j not yet kept; None when A must be
-        factored instead."""
+        factored instead.  Raises SolverError on a non-finite Z_j."""
         A0 = self._A
         if A0 is None or A.shape != A0.shape \
                 or not np.array_equal(A.indptr, A0.indptr) \
@@ -182,20 +206,19 @@ class FactorizationCache:
         if len(S) > MAX_UPDATE_RANK or len(self._cols) + sum(
                 j not in self._cols for j in S) > MAX_UPDATE_RANK:
             return None
-        at = at[np.argsort(A.indices[at], kind="stable")]
-        values = A.data[at] - A0.data[at]
-        # the rows and values of each D_j, in ascending row order
-        split = np.searchsorted(A.indices[at], S[1:])
-        parts = zip(np.split(np.searchsorted(A.indptr, at, side="right") - 1,
-                             split), np.split(values, split))
+        col, row_of = A.indices[at], np.searchsorted(A.indptr, at, "right") - 1
         rows = np.empty(len(S), dtype=int)
-        for k, (j, (idx, val)) in enumerate(zip(S, parts)):
+        for k, j in enumerate(S):
+            mine = col == j  # the entries of D_j, in ascending row order
+            idx, val = row_of[mine], A.data[at[mine]] - A0.data[at[mine]]
             key = (idx.tobytes(), val.tobytes())
             row, kept = self._cols.get(j, (len(self._cols), None))
             if kept != key:
                 d = np.zeros(A.shape[0])
                 d[idx] = val
                 self._Z[row] = self._lu.solve(d)
+                if not np.isfinite(self._Z[row]).all():
+                    raise SolverError("non-finite low-rank update")
                 self._cols[j] = (row, key)
             rows[k] = row
         return S, rows
@@ -210,12 +233,12 @@ class FactorizationCache:
     def solve(self, A, b):
         A = _as_csr(A)
         b, bnorm = _finite_rhs(b)
-        update = self._update(A)
+        try:
+            update = self._update(A)
+            if update is not None and len(update[0]):
+                return _checked(A, self._solve_update(b, *update), b, bnorm)
+        except (SolverError, np.linalg.LinAlgError):
+            update = None  # redone by factoring A
         if update is None:
             self._factor(A)
-        if update is not None and len(update[0]):
-            try:
-                return _checked(A, self._solve_update(b, *update), b, bnorm)
-            except (SolverError, np.linalg.LinAlgError):
-                self._factor(A)
         return _checked(A, self._lu.solve(b), b, bnorm)

@@ -205,6 +205,7 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
 
     constant_mobility = problem.mobility.M == 1.0
     operator = None
+    orderings = []  # see linalg._lu; one list per run keeps runs independent
     diagnostics = []
     start = time.perf_counter()
     neumann = problem.dirichlet_dofs is None
@@ -215,10 +216,10 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
             if operator is None or not constant_mobility:
                 operator = None  # free it and its LU before the next solve
                 p, U, p_info = assembly.solve_pressure(
-                    gd, c, problem.mobility, problem.dsrc)
+                    gd, c, problem.mobility, problem.dsrc, orderings)
                 operator = assembly.TransportOperator(
                     gd, U, config.dt, problem.dsrc, problem.params,
-                    config.variant, problem.dirichlet_dofs)
+                    config.variant, problem.dirichlet_dofs, orderings)
             c_prev = c
             factored = operator.cache.factorizations
             c, t_info = assembly.transport_step(

@@ -1,13 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdflow import linalg
+from gdflow import assembly, linalg, sim
 from gdflow.linalg import (
     MAX_UPDATE_RANK,
     RESIDUAL_TOL,
+    SUPERNODES,
     FactorizationCache,
     SolverError,
     residual_norm,
@@ -287,8 +290,8 @@ class TestFactorizationCacheUpdate:
     def test_changed_columns_are_solved_once(self, monkeypatch):
         solves = []
         real = linalg._lu
-        monkeypatch.setattr(linalg, "_lu",
-                            lambda A: CountingLU(real(A), solves))
+        monkeypatch.setattr(linalg, "_lu", lambda A, *rest: CountingLU(
+            real(A, *rest), solves))
         A0 = dominant(30, seed=4)
         cols = [2, 9, 21, 29]
         A1 = change_columns(A0, cols, seed=5)
@@ -404,8 +407,8 @@ class TestFactorizationCacheSamePattern:
                                                no_difference, k):
         solves = []
         real = linalg._lu
-        monkeypatch.setattr(linalg, "_lu",
-                            lambda A: CountingLU(real(A), solves))
+        monkeypatch.setattr(linalg, "_lu", lambda A, *rest: CountingLU(
+            real(A, *rest), solves))
         n = 60
         A0 = dominant(n, seed=11)
         cols = np.random.default_rng(12).choice(n, size=k, replace=False)
@@ -424,8 +427,8 @@ class TestFactorizationCacheSamePattern:
                                                no_difference):
         solves = []
         real = linalg._lu
-        monkeypatch.setattr(linalg, "_lu",
-                            lambda A: CountingLU(real(A), solves))
+        monkeypatch.setattr(linalg, "_lu", lambda A, *rest: CountingLU(
+            real(A, *rest), solves))
         n = 60
         A0 = dominant(n, seed=15)
         A1 = on_pattern(A0, np.arange(MAX_UPDATE_RANK + 1), seed=16)
@@ -454,6 +457,140 @@ class TestFactorizationCacheSamePattern:
                            atol=1e-12)
         assert cache.factorizations == 2
 
+
+def test_supernodes_keep_relax_within_panel_size():
+    # a relaxed supernode wider than a panel corrupts SuperLU's heap
+    assert 1 <= SUPERNODES["relax"] <= SUPERNODES["panel_size"]
+
+
+def run_matrices(cfg):
+    """A pinned pressure matrix and a transport Jacobian of ``cfg`` at two
+    concentrations: two matrices on each of the two patterns."""
+    problem = sim.build_problem(cfg)
+    gd, mats = problem.gd, []
+    for seed in (0, 1):
+        c = np.random.default_rng(seed).uniform(0.0, 1.0, gd.ndof)
+        G, _ = assembly.pressure_matrix(gd, c, problem.mobility)
+        G = G.tocsr()[:-1, :-1]
+        G.eliminate_zeros()
+        _, U, _ = assembly.solve_pressure(gd, c, problem.mobility,
+                                          problem.dsrc)
+        op = assembly.TransportOperator(gd, U, cfg.dt, problem.dsrc,
+                                        problem.params, cfg.variant)
+        mats.append((G, op.jacobian((c <= 0.5).astype(float))))
+    return list(zip(*mats))
+
+
+class TestOrderedFactorisation:
+    """The second LU of a pattern reuses the first one's minimum-degree
+    ordering: it has the fill of a minimum-degree LU and its solutions."""
+
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        calls, real = [], linalg.spla.splu
+
+        def recording(A, **kwargs):
+            lu = real(A, **kwargs)
+            calls.append((kwargs["permc_spec"], lu))
+            return lu
+        monkeypatch.setattr(linalg.spla, "splu", recording)
+        return calls
+
+    @pytest.mark.parametrize("cfg", [
+        sim.RunConfig(test="lit2", scheme="a", n=12, dt=36.0),
+        sim.RunConfig(test="lit2", scheme="b", reps=8, dt=36.0),
+    ], ids=["scheme_a", "scheme_b"])
+    @pytest.mark.parametrize("system", ["pressure", "transport"])
+    def test_same_fill_and_solution_as_minimum_degree(self, splu_calls, cfg,
+                                                      system):
+        A0, A1 = run_matrices(cfg)[system == "transport"]
+        assert np.array_equal(A0.indices, A1.indices)
+        assert not np.array_equal(A0.data, A1.data)
+        orderings = []
+        linalg._lu(A0, orderings)
+        ordered = linalg._lu(A1, orderings)
+        assert len(orderings) == 1
+        assert [spec for spec, _ in splu_calls[-2:]] == ["MMD_AT_PLUS_A",
+                                                         "NATURAL"]
+        natural_lu = splu_calls[-1][1]
+        mmd = linalg.spla.splu(A1.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                               **SUPERNODES)
+        assert natural_lu.nnz == mmd.nnz
+        assert natural_lu.nnz <= linalg.spla.splu(
+            A1.tocsc(), permc_spec="MMD_AT_PLUS_A").nnz
+        b = np.random.default_rng(2).standard_normal(A1.shape[0])
+        x, oracle = ordered.solve(b), mmd.solve(b)
+        assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_first_lu_of_a_pattern_is_the_one_shot_lu(self):
+        A = dominant(40, seed=21)
+        b = np.random.default_rng(22).standard_normal(40)
+        orderings = []
+        x = linalg._lu(A, orderings).solve(b)
+        assert np.array_equal(x, linalg._lu(A).solve(b))
+        linalg._lu(A[:-1, :-1], orderings)
+        linalg._lu(A, orderings)
+        assert len(orderings) == 2  # one entry per pattern
+
+    def test_singular_matrix_on_a_known_pattern_raises(self):
+        A = sp.csr_matrix(2.0 * np.eye(3))
+        orderings = []
+        linalg._lu(A, orderings)
+        A.data[1] = 0.0
+        with pytest.raises(SolverError, match="singular"):
+            linalg._lu(A, orderings)
+
+    def test_cache_uses_the_orderings(self, splu_calls):
+        n = MAX_UPDATE_RANK + 8
+        orderings = []
+        cache = FactorizationCache(orderings)
+        b = np.ones(n)
+        for scale in (2.0, 3.0, 4.0):
+            A = dominant(n, seed=23) * scale
+            x = cache.solve(A, b)
+            assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=0.0,
+                               atol=1e-12)
+        assert cache.factorizations == 3
+        assert [spec for spec, _ in splu_calls] == [
+            "MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+        assert len(orderings) == 1
+
+
+class TestNonFiniteUpdate:
+    """A non-finite Z_j is rejected where it is computed, before it enters
+    the update: the matrix is factored instead."""
+
+    @staticmethod
+    def poisoned_column_solve(cache):
+        real, calls = cache._lu, []
+
+        def solve(v):  # the first solve after this is a column's Z_j
+            calls.append(v)
+            x = real.solve(v)
+            return np.full_like(x, np.nan) if len(calls) == 1 else x
+        cache._lu = SimpleNamespace(solve=solve)
+        return calls
+
+    def test_non_finite_column_raises_solver_error(self):
+        A0 = dominant(20, seed=24)
+        cache = FactorizationCache()
+        cache.solve(A0, np.ones(20))
+        self.poisoned_column_solve(cache)
+        with pytest.raises(SolverError, match="non-finite low-rank update"):
+            cache._update(change_columns(A0, [3], seed=25))
+
+    def test_non_finite_update_is_refactored(self):
+        A0 = dominant(20, seed=24)
+        A1 = change_columns(A0, [3], seed=25)
+        b = np.ones(20)
+        cache = FactorizationCache()
+        cache.solve(A0, b)
+        calls = self.poisoned_column_solve(cache)
+        x = cache.solve(A1, b)
+        assert len(calls) == 1  # the rest was solved with the new LU
+        assert np.allclose(x, np.linalg.solve(A1.toarray(), b), rtol=0.0,
+                           atol=1e-12)
+        assert cache.factorizations == 2
 
 class TestResidualNorm:
     def test_exact_solution(self):

@@ -10,7 +10,7 @@ from gdflow.sim import (
     run_coupled,
 )
 import gdflow
-from gdflow import assembly, linalg
+from gdflow import assembly, io_cli, linalg
 from gdflow import gd as gd_mod
 
 
@@ -155,15 +155,43 @@ class TestRunCoupled:
         calls = []
         real = linalg._lu
 
-        def counting(A):
+        def counting(A, *rest):
             calls.append(A.shape)
-            return real(A)
+            return real(A, *rest)
         monkeypatch.setattr(linalg, "_lu", counting)
         _, report = run_coupled(self.TABLE1_COARSE)
         assert len(calls) <= 23
         # the pressure LU, then the transport ones counted per step
         assert len(calls) == 1 + sum(row["factorizations"]
                                      for row in report.diagnostics)
+
+
+class TestRunDeterminism:
+    def test_repeated_run_is_bitwise_equal(self, monkeypatch, tmp_path):
+        """M != 1: every step factors the pressure and transport patterns
+        again; each run orders them afresh, so a repeated run is the same
+        to the bit."""
+        specs, real = [], linalg.spla.splu
+
+        def recording(A, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return real(A, **kwargs)
+        monkeypatch.setattr(linalg.spla, "splu", recording)
+        cfg = RunConfig(test="lit2", scheme="b", reps=8, dt=36.0,
+                        t_final=6 * 36.0)
+        runs = []
+        for tag in ("first", "second"):
+            state, report = run_coupled(cfg)
+            path = tmp_path / f"diagnostics_{tag}.csv"
+            io_cli.write_diagnostics(path, report.diagnostics)
+            runs.append((state, path.read_bytes()))
+            # one minimum-degree LU per pattern: pressure and transport
+            assert specs.count("MMD_AT_PLUS_A") == 2 * len(runs)
+        assert specs.count("NATURAL") >= 2 * 5 * 2
+        (s1, d1), (s2, d2) = runs
+        for name in ("c", "p", "U"):
+            assert np.array_equal(getattr(s1, name), getattr(s2, name))
+        assert d1 == d2
 
 
 CACHE = linalg.FactorizationCache
