@@ -51,8 +51,7 @@ def _locate_dof(gd, point):
     d2 = ((gd.anchors - np.asarray(point)) ** 2).sum(axis=1)
     i = int(np.argmin(d2))
     if d2[i] > WELL_TOL ** 2 * max(1.0, gd.domain_area):
-        raise ConfigError(
-            f"no dof anchored at well point {tuple(point)}")
+        raise ConfigError(f"no dof anchored at well point {tuple(point)}")
     return i
 
 
@@ -62,8 +61,7 @@ def discretize_sources(gd, side, rate):
     injection at (1, 1) and, on each dof of the two edges through the
     origin, a production equal to the angle its segment subtends at (1, 1),
     where (s, 0) and (0, s) lie at arctan2(s, 2 - s) from the origin."""
-    qi = np.zeros(gd.ndof)
-    qp = np.zeros(gd.ndof)
+    qi, qp = np.zeros(gd.ndof), np.zeros(gd.ndof)
     if rate is not None:
         qi[_locate_dof(gd, (side, side))] += rate
         qp[_locate_dof(gd, (0.0, 0.0))] += rate
@@ -88,7 +86,7 @@ def pressure_matrix(gd, c_prev, mobility):
     return gd.grad_gram(a, a), a
 
 
-def solve_pressure(gd, c_prev, mobility, dsrc, orderings=None):
+def solve_pressure(gd, c_prev, mobility, dsrc, orderings):
     """Solve the zero-mean pressure system and reconstruct the Darcy field.
 
     Returns (p, U, info); U is the per-gradient-cell velocity
@@ -176,8 +174,8 @@ class TransportOperator:
     Jacobians (with ``orderings``) and lives as long as the operator.
     """
 
-    def __init__(self, gd, U, dt, dsrc, params, variant, dirichlet_dofs=None,
-                 orderings=None):
+    def __init__(self, gd, U, dt, dsrc, params, variant, orderings,
+                 dirichlet_dofs=None):
         if dirichlet_dofs is not None and len(dirichlet_dofs) == 0:
             raise ConfigError("empty Dirichlet dof set")
         self.dt = dt

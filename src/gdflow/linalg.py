@@ -1,13 +1,12 @@
 """Sparse solvers for the per-step systems.
 
 Every system is solved with a SuperLU factorisation on narrow supernodes
-(``SUPERNODES``), and every solution is checked against an independently
-recomputed residual.  A run orders each sparsity pattern once for all its
-LUs (``_lu``; symbolic and numeric factorisation separated as in Davis,
-Direct Methods for Sparse Linear Systems, 2006).  ``spd_solver`` solves
-(A + m m^T) x = b for any number of right-hand sides, ``solve_pcg`` is CG
-preconditioned with such a solve, and ``FactorizationCache`` solves a
-sequence of transport systems by low-rank updates of one LU.
+(``SUPERNODES``) and checked against an independently recomputed
+residual; the later LUs of a pattern in a run reuse the column ordering
+of its first (``_lu``; Davis, Direct Methods for Sparse Linear Systems,
+2006).  ``spd_solver`` solves (A + m m^T) x = b for many right-hand
+sides, ``solve_pcg`` is CG preconditioned with such a solve, and
+``FactorizationCache`` solves transport systems by low-rank updates.
 """
 
 from types import SimpleNamespace
@@ -65,21 +64,21 @@ def _lu(A, orderings=None):
                 return SimpleNamespace(solve=lambda b: lu.solve(b[q])[p])
         # kept arrays first, not to fragment the heap; intp p, q gather fast
         if orderings is not None:
-            n, m = A.shape[0], A.nnz
-            entry = (A.indptr.copy(), A.indices.copy()) + tuple(
-                np.empty(k, t) for k, t in zip((n, n, m, m, n + 1), "ppiii"))
+            n, indptr, indices = A.shape[0], A.indptr.copy(), A.indices.copy()
+            p, q = np.empty(n, np.intp), np.empty(n, np.intp)
+            at, Bi = np.empty(A.nnz, np.int32), np.empty(A.nnz, np.int32)
+            Bp = np.empty(n + 1, np.int32)
         lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", **SUPERNODES)
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorisation failed: {exc}") from exc
     if orderings is not None:
-        indptr, indices, p, q, at, Bi, Bp = entry
         p[:] = lu.perm_c
         q[p] = np.arange(n)
         # entry (i, j) of A is entry (p[i], p[j]) of A[q][:, q]
         row, col = p[np.repeat(np.arange(n), np.diff(indptr))], p[indices]
         at[:] = np.lexsort((row, col))  # column by column, rows ascending
         Bi[:], Bp[:] = row[at], np.searchsorted(col[at], np.arange(n + 1))
-        orderings.append(entry)
+        orderings.append((indptr, indices, p, q, at, Bi, Bp))
     return lu
 
 
@@ -114,7 +113,6 @@ def spd_solver(A, rank_one=None, orderings=None):
     if not np.all(A.data):  # stored zeros would only add LU fill
         A = A.copy()
         A.eliminate_zeros()
-    n = A.shape[0]
     if rank_one is None:
         direct = _lu(A, orderings).solve
     else:
@@ -124,7 +122,7 @@ def spd_solver(A, rank_one=None, orderings=None):
 
         def direct(b):
             s = b.sum() / msum
-            x = np.zeros(n)
+            x = np.zeros_like(b)
             x[:-1] = pinned.solve((b - s * m)[:-1])
             return x + (s - m @ x) / msum
 
@@ -154,7 +152,8 @@ def solve_pcg(A, b, precond):
 
 
 def solve_general(A, b):
-    """Solve a nonsymmetric sparse system with ``spd_solver``'s LU."""
+    """Solve a nonsymmetric sparse system (the plain LU path of
+    ``spd_solver`` needs no symmetry)."""
     return spd_solver(A)(b)
 
 
@@ -162,8 +161,8 @@ class FactorizationCache:
     """Solves a sequence of transport systems with few LU factorisations.
 
     Keeps a reference matrix A0 (its own copy: a caller may change a matrix
-    in place) and its LU, ordered by ``orderings`` if given.  A new A on
-    the pattern of A0 whose D = A - A0 changes the columns S is solved
+    in place) and its LU, ``_lu`` with the run's ``orderings``.  A new A
+    on the pattern of A0 whose D = A - A0 changes the columns S is solved
     - with the LU of A0 when S is empty;
     - as x = y - Z_S (I + Z_S[S, :])^-1 y[S], y = A0^-1 b, Z_j = A0^-1 D_j
       (Sherman-Morrison-Woodbury) when |S| <= MAX_UPDATE_RANK.  Each Z_j
@@ -175,7 +174,7 @@ class FactorizationCache:
     residual above RESIDUAL_TOL is redone by factoring A.
     """
 
-    def __init__(self, orderings=None):
+    def __init__(self, orderings):
         self._orderings = orderings
         self._drop()
         self.factorizations = 0
@@ -206,11 +205,14 @@ class FactorizationCache:
         if len(S) > MAX_UPDATE_RANK or len(self._cols) + sum(
                 j not in self._cols for j in S) > MAX_UPDATE_RANK:
             return None
-        col, row_of = A.indices[at], np.searchsorted(A.indptr, at, "right") - 1
+        at = at[np.argsort(A.indices[at], kind="stable")]
+        values = A.data[at] - A0.data[at]
+        # the rows and values of each D_j, in ascending row order
+        split = np.searchsorted(A.indices[at], S[1:])
+        parts = zip(np.split(np.searchsorted(A.indptr, at, side="right") - 1,
+                             split), np.split(values, split))
         rows = np.empty(len(S), dtype=int)
-        for k, j in enumerate(S):
-            mine = col == j  # the entries of D_j, in ascending row order
-            idx, val = row_of[mine], A.data[at[mine]] - A0.data[at[mine]]
+        for k, (j, (idx, val)) in enumerate(zip(S, parts)):
             key = (idx.tobytes(), val.tobytes())
             row, kept = self._cols.get(j, (len(self._cols), None))
             if kept != key:

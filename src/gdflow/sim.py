@@ -219,7 +219,7 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
                     gd, c, problem.mobility, problem.dsrc, orderings)
                 operator = assembly.TransportOperator(
                     gd, U, config.dt, problem.dsrc, problem.params,
-                    config.variant, problem.dirichlet_dofs, orderings)
+                    config.variant, orderings, problem.dirichlet_dofs)
             c_prev = c
             factored = operator.cache.factorizations
             c, t_info = assembly.transport_step(

@@ -63,7 +63,7 @@ def pressure_residual(gd, c_prev, mobility, dsrc, p):
 def step(gd, U, c_prev, dt, dsrc, params, variant, dofs=None, values=None):
     """transport_step on the operator of (U, dt), with ``values`` on the
     Dirichlet ``dofs``."""
-    op = TransportOperator(gd, U, dt, dsrc, params, variant, dofs)
+    op = TransportOperator(gd, U, dt, dsrc, params, variant, [], dofs)
     return transport_step(op, c_prev, dirichlet=values)
 
 
@@ -101,7 +101,8 @@ class TestPressure:
     def test_zero_sources(self, make):
         gd = make(3)
         dsrc = no_sources(gd)
-        p, U, info = solve_pressure(gd, np.zeros(gd.ndof), unit_mobility(), dsrc)
+        p, U, info = solve_pressure(gd, np.zeros(gd.ndof), unit_mobility(),
+                                    dsrc, [])
         assert np.allclose(p, 0.0)
         assert np.allclose(U, 0.0)
 
@@ -110,7 +111,7 @@ class TestPressure:
         dsrc = discretize_sources(gd, 1.0, 3.0)
         c = np.linspace(0.0, 1.0, gd.ndof)
         mobility = MobilityTensor(k=1.0, M=40.0)
-        p, U, info = solve_pressure(gd, c, mobility, dsrc)
+        p, U, info = solve_pressure(gd, c, mobility, dsrc, [])
         assert abs(info["pressure_mean"]) <= 1e-10 * max(info["pressure_rhs_norm"], 1.0)
         assert pressure_residual(gd, c, mobility, dsrc, p) \
             <= 1e-9 * info["pressure_rhs_norm"]
@@ -207,7 +208,8 @@ class TestDirichlet:
         with pytest.raises(ConfigError, match="empty Dirichlet dof set"):
             TransportOperator(gd, np.zeros((gd.n_grad_cells, 2)), 0.1,
                               no_sources(gd), DispersionParams(phi=0.1, dm=1.0),
-                              "centred", dirichlet_dofs=np.array([], dtype=int))
+                              "centred", [],
+                              dirichlet_dofs=np.array([], dtype=int))
 
     def test_identity_rows_in_place(self):
         """The Dirichlet rows of a matrix on the operator's pattern become
@@ -218,7 +220,7 @@ class TestDirichlet:
         op = TransportOperator(gd, np.zeros((gd.n_grad_cells, 2)), 0.1,
                                no_sources(gd), DispersionParams(phi=0.1,
                                                                 dm=1.0),
-                               "centred", dofs)
+                               "centred", [], dofs)
         P = gd.pattern()
         A = P.matrix(np.random.default_rng(4).standard_normal(P.nnz))
         dense = A.toarray()
@@ -250,7 +252,7 @@ class TestTransportStep:
         gd = make_b(2)
         dsrc = discretize_sources(gd, 1.0, 2.0)
         c_prev = np.ones(gd.ndof)
-        _, U, _ = solve_pressure(gd, c_prev, unit_mobility(), dsrc)
+        _, U, _ = solve_pressure(gd, c_prev, unit_mobility(), dsrc, [])
         c, info = step(gd, U, c_prev, 0.05, dsrc, self.params(),
                                  "centred")
         assert np.max(np.abs(c - 1.0)) <= 1e-10
@@ -303,9 +305,10 @@ class TestTransportStep:
         gd = make_a(3)
         dsrc = no_sources(gd)
         U = np.zeros((gd.n_grad_cells, 2))
-        plain = TransportOperator(gd, U, 0.1, dsrc, self.params(), "centred")
+        plain = TransportOperator(gd, U, 0.1, dsrc, self.params(), "centred",
+                                  [])
         fixed = TransportOperator(gd, U, 0.1, dsrc, self.params(), "centred",
-                                  np.array([0, 2]))
+                                  [], np.array([0, 2]))
         return np.zeros(gd.ndof), plain, fixed
 
     def test_dirichlet_values_need_dirichlet_dofs(self):
@@ -393,7 +396,7 @@ class TestTransportProperties:
         gd = small_gd(*geometry)
         dsrc = discretize_sources(gd, 1.0, rate)
         c_prev = np.ones(gd.ndof)
-        _, U, _ = solve_pressure(gd, c_prev, unit_mobility(), dsrc)
+        _, U, _ = solve_pressure(gd, c_prev, unit_mobility(), dsrc, [])
         c, _ = step(gd, U, c_prev, dt, dsrc, self.params, variant)
         assert np.max(np.abs(c - 1.0)) <= 1e-10
 
@@ -405,7 +408,7 @@ class TestTransportProperties:
         dsrc = discretize_sources(gd, 1.0, rate)
         rng = np.random.default_rng(seed)
         c_prev = rng.random(gd.ndof)
-        _, U, _ = solve_pressure(gd, c_prev, unit_mobility(), dsrc)
+        _, U, _ = solve_pressure(gd, c_prev, unit_mobility(), dsrc, [])
         c, info = converged_step(variant, gd, U, c_prev, dt, dsrc,
                                  self.params)
         mass = self.params.phi * gd.recon_measures
@@ -473,7 +476,7 @@ class TestTransportOperatorProperties:
             dofs = np.sort(rng.choice(gd.ndof, size=rng.integers(1, gd.ndof),
                                       replace=False))
             free = np.setdiff1d(np.arange(gd.ndof), dofs)
-        op = TransportOperator(gd, U, dt, dsrc, params, variant, dofs)
+        op = TransportOperator(gd, U, dt, dsrc, params, variant, [], dofs)
         base, C = transport_matrices(gd, U, dt, dsrc, params, variant)
         for got, ref in ((op.base, base), (op.C, C)):
             assert np.array_equal(got.toarray(), ref.toarray())
@@ -635,7 +638,7 @@ class TestAssemblyPattern:
         params = DispersionParams(phi=0.1, dm=0.5, dl=0.4, dt_=0.1)
         dsrc = discretize_sources(gd, 1.0, None)
         dofs = np.flatnonzero(dsrc.q_production)
-        op = TransportOperator(gd, U, 0.1, dsrc, params, "centred", dofs)
+        op = TransportOperator(gd, U, 0.1, dsrc, params, "centred", [], dofs)
         before = [A.toarray() for A in (op.base, op.C, gd.grad_gram())]
         J = op.jacobian(np.ones(gd.ndof))
         for A in (op.base, op.C, gd.grad_gram(), J):
@@ -644,7 +647,7 @@ class TestAssemblyPattern:
             A.has_sorted_indices = False
             with pytest.raises(ValueError, match="read-only"):
                 A.sort_indices()
-        op = TransportOperator(gd, U, 0.1, dsrc, params, "centred", dofs)
+        op = TransportOperator(gd, U, 0.1, dsrc, params, "centred", [], dofs)
         after = [A.toarray() for A in (op.base, op.C, gd.grad_gram())]
         for got, ref in zip(after, before):
             assert np.array_equal(got, ref)
@@ -673,7 +676,7 @@ class TestPressureProperties:
         dsrc = discretize_sources(gd, 1.0, rate)
         c_prev = np.random.default_rng(seed).random(gd.ndof)
         mobility = MobilityTensor(k=1.0, M=m_ratio)
-        p, _, info = solve_pressure(gd, c_prev, mobility, dsrc)
+        p, _, info = solve_pressure(gd, c_prev, mobility, dsrc, [])
         assert abs(info["pressure_mean"]) <= 1e-8 * info["pressure_rhs_norm"]
         assert pressure_residual(gd, c_prev, mobility, dsrc, p) \
             <= 1e-9 * info["pressure_rhs_norm"]
@@ -710,7 +713,7 @@ class TestMassBalanceResidual:
         mobility = unit_mobility()
         params = DispersionParams(phi=0.1, dm=0.5)
         c_prev = np.zeros(gd.ndof)
-        p, U, _ = solve_pressure(gd, c_prev, mobility, dsrc)
+        p, U, _ = solve_pressure(gd, c_prev, mobility, dsrc, [])
         c, _ = step(gd, U, c_prev, 0.05, dsrc, params, "centred")
         res = mass_balance_residual(gd, c_prev, c, 0.05, dsrc, params)
         assert res <= 1e-9

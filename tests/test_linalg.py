@@ -182,7 +182,7 @@ class TestFactorizationCache:
     def test_reuses_factorization(self):
         rng = np.random.default_rng(3)
         A = sp.csr_matrix(rng.standard_normal((10, 10)) + 10 * np.eye(10))
-        cache = FactorizationCache()
+        cache = FactorizationCache([])
         dense = A.toarray()
         for _ in range(4):
             b = rng.standard_normal(10)
@@ -193,7 +193,7 @@ class TestFactorizationCache:
     def test_small_change_is_an_update(self):
         # 4 changed columns <= MAX_UPDATE_RANK: A2 is an update of the LU
         # of A1, and A1 again differs from the reference in no column
-        cache = FactorizationCache()
+        cache = FactorizationCache([])
         A1 = sp.csr_matrix(2.0 * np.eye(4))
         A2 = sp.csr_matrix(3.0 * np.eye(4))
         b = np.ones(4)
@@ -204,7 +204,7 @@ class TestFactorizationCache:
 
     def test_refactorizes_beyond_max_update_rank(self):
         n = MAX_UPDATE_RANK + 8
-        cache = FactorizationCache()
+        cache = FactorizationCache([])
         b = np.ones(n)
         assert np.allclose(cache.solve(sp.csr_matrix(2.0 * np.eye(n)), b),
                            0.5)
@@ -213,14 +213,14 @@ class TestFactorizationCache:
         assert cache.factorizations == 2
 
     def test_equal_new_matrix_reuses_factorization(self):
-        cache = FactorizationCache()
+        cache = FactorizationCache([])
         b = np.ones(4)
         cache.solve(sp.csr_matrix(2.0 * np.eye(4)), b)
         assert np.allclose(cache.solve(sp.csr_matrix(2.0 * np.eye(4)), b), 0.5)
         assert cache.factorizations == 1
 
     def test_in_place_change_is_an_update(self):
-        cache = FactorizationCache()
+        cache = FactorizationCache([])
         A = sp.csr_matrix(2.0 * np.eye(4))
         b = np.ones(4)
         assert np.allclose(cache.solve(A, b), 0.5)
@@ -231,16 +231,16 @@ class TestFactorizationCache:
     def test_non_finite_rhs_raises(self):
         A = sp.diags([2.0, 4.0, 8.0]).tocsr()
         with pytest.raises(SolverError, match="non-finite"):
-            FactorizationCache().solve(A, np.array([1.0, np.nan, 1.0]))
+            FactorizationCache([]).solve(A, np.array([1.0, np.nan, 1.0]))
 
     def test_non_finite_solution_raises(self):
         A = sp.diags([2.0, np.inf, 8.0]).tocsr()
         with pytest.raises(SolverError):
-            FactorizationCache().solve(A, np.ones(3))
+            FactorizationCache([]).solve(A, np.ones(3))
 
     def test_singular_matrix_raises_solver_error(self):
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        cache = FactorizationCache()
+        cache = FactorizationCache([])
         with pytest.raises(SolverError, match="singular"):
             cache.solve(A, np.array([1.0, 0.0]))
         assert cache.factorizations == 0
@@ -264,6 +264,15 @@ def change_columns(A, cols, seed):
     return A
 
 
+def runs(A0):
+    """The ordering lists of a run on which a cache's LU of A0 is the first
+    of its pattern (minimum degree) and a later one (reordered: natural
+    order, solved through p)."""
+    later = []
+    linalg._lu(A0, later)
+    return [], later
+
+
 class CountingLU:
     """Counts the solves of a SuperLU factorisation."""
 
@@ -280,12 +289,14 @@ class TestFactorizationCacheUpdate:
         A0 = dominant(50, seed=1)
         A1 = change_columns(A0, [3, 17, 40], seed=2)
         b = np.random.default_rng(3).standard_normal(50)
-        cache = FactorizationCache()
-        cache.solve(A0, b)
-        x = cache.solve(A1, b)
-        assert np.allclose(x, np.linalg.solve(A1.toarray(), b),
-                           rtol=0.0, atol=1e-12)
-        assert cache.factorizations == 1
+        for orderings in runs(A0):
+            cache = FactorizationCache(orderings)
+            cache.solve(A0, b)
+            x = cache.solve(A1, b)
+            assert np.allclose(x, np.linalg.solve(A1.toarray(), b),
+                               rtol=0.0, atol=1e-12)
+            assert cache.factorizations == 1
+            assert len(orderings) == 1
 
     def test_changed_columns_are_solved_once(self, monkeypatch):
         solves = []
@@ -296,14 +307,17 @@ class TestFactorizationCacheUpdate:
         cols = [2, 9, 21, 29]
         A1 = change_columns(A0, cols, seed=5)
         b = np.random.default_rng(6).standard_normal(30)
-        cache = FactorizationCache()
-        for A in (A0, A1, A0, A1):
-            x = cache.solve(A, b)
-            assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=0.0,
-                               atol=1e-12)
-        # one solve per right-hand side, and one per changed column of A1
-        assert len(solves) == 4 + len(cols)
-        assert cache.factorizations == 1
+        for orderings in runs(A0):
+            solves.clear()
+            cache = FactorizationCache(orderings)
+            for A in (A0, A1, A0, A1):
+                x = cache.solve(A, b)
+                assert np.allclose(x, np.linalg.solve(A.toarray(), b),
+                                   rtol=0.0, atol=1e-12)
+            # one solve per right-hand side, and one per changed column
+            assert len(solves) == 4 + len(cols)
+            assert cache.factorizations == 1
+            assert len(orderings) == 1
 
     @pytest.mark.parametrize("A1", [
         sp.csr_matrix(np.diag([0.0, 2.0, 2.0, 2.0])),
@@ -311,7 +325,7 @@ class TestFactorizationCacheUpdate:
                                 [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 2.0]])),
     ], ids=["zero_column", "equal_columns"])
     def test_singular_update_raises_solver_error(self, A1):
-        cache = FactorizationCache()
+        cache = FactorizationCache([])
         cache.solve(sp.csr_matrix(2.0 * np.eye(4)), np.ones(4))
         with pytest.raises(SolverError, match="singular"):
             cache.solve(A1, np.array([1.0, 0.0, 1.0, 1.0]))
@@ -320,10 +334,11 @@ class TestFactorizationCacheUpdate:
         A0 = dominant(20, seed=7)
         A1 = A0.tolil()
         A1[4, 11] = np.inf
-        cache = FactorizationCache()
-        cache.solve(A0, np.ones(20))
-        with pytest.raises(SolverError):
-            cache.solve(A1.tocsr(), np.ones(20))
+        for orderings in runs(A0):
+            cache = FactorizationCache(orderings)
+            cache.solve(A0, np.ones(20))
+            with pytest.raises(SolverError):
+                cache.solve(A1.tocsr(), np.ones(20))
 
     def test_inf_on_the_pattern_is_factored_and_raises(self):
         """A non-finite difference on A0's own pattern fails the update's
@@ -331,7 +346,7 @@ class TestFactorizationCacheUpdate:
         A0 = dominant(20, seed=7)
         A1 = A0.copy()
         A1.data[5] = np.inf
-        cache = FactorizationCache()
+        cache = FactorizationCache([])
         cache.solve(A0, np.ones(20))
         with pytest.raises(SolverError):
             cache.solve(A1, np.ones(20))
@@ -349,14 +364,18 @@ class TestFactorizationCacheUpdate:
             if capacitance == "singular":
                 raise np.linalg.LinAlgError("Singular matrix")
             return 2.0 * real(K, r)
-        cache = FactorizationCache()
-        cache.solve(A0, b)
-        monkeypatch.setattr(linalg.np.linalg, "solve", bad)
-        x = cache.solve(A1, b)
-        assert np.allclose(x, oracle, rtol=0.0, atol=1e-12)
-        assert residual_norm(A1, x, b) <= RESIDUAL_TOL * np.linalg.norm(b)
-        assert calls == [(3, 3)]
-        assert cache.factorizations == 2
+        for orderings in runs(A0):
+            calls.clear()
+            cache = FactorizationCache(orderings)
+            cache.solve(A0, b)
+            with monkeypatch.context() as m:
+                m.setattr(linalg.np.linalg, "solve", bad)
+                x = cache.solve(A1, b)
+            assert np.allclose(x, oracle, rtol=0.0, atol=1e-12)
+            assert residual_norm(A1, x, b) <= RESIDUAL_TOL * np.linalg.norm(b)
+            assert calls == [(3, 3)]
+            assert cache.factorizations == 2
+            assert len(orderings) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k1=st.integers(0, 40),
@@ -368,19 +387,23 @@ class TestFactorizationCacheUpdate:
         A0 = dominant(n, seed)
         mats = [change_columns(A0, rng.choice(n, size=k, replace=False),
                                seed + i) for i, k in enumerate((k1, k2))]
-        ref, kept, expected = A0.toarray(), set(), 1
-        cache = FactorizationCache()
-        for A in [A0] + mats:
-            b = rng.standard_normal(n)
-            x = cache.solve(A, b)
-            assert residual_norm(A, x, b) <= RESIDUAL_TOL * np.linalg.norm(b)
-            dense = A.toarray()
-            S = set(np.flatnonzero((dense != ref).any(axis=0)))
-            if len(S) > MAX_UPDATE_RANK or len(kept | S) > MAX_UPDATE_RANK:
-                ref, kept, expected = dense, set(), expected + 1
-            else:
-                kept |= S
-            assert cache.factorizations == expected
+        bs = rng.standard_normal((3, n))
+        for orderings in runs(A0):
+            ref, kept, expected = A0.toarray(), set(), 1
+            cache = FactorizationCache(orderings)
+            for A, b in zip([A0] + mats, bs):
+                x = cache.solve(A, b)
+                assert residual_norm(A, x, b) \
+                    <= RESIDUAL_TOL * np.linalg.norm(b)
+                dense = A.toarray()
+                S = set(np.flatnonzero((dense != ref).any(axis=0)))
+                if len(S) > MAX_UPDATE_RANK \
+                        or len(kept | S) > MAX_UPDATE_RANK:
+                    ref, kept, expected = dense, set(), expected + 1
+                else:
+                    kept |= S
+                assert cache.factorizations == expected
+            assert len(orderings) == 1
 
 
 def on_pattern(A0, cols, seed):
@@ -414,14 +437,17 @@ class TestFactorizationCacheSamePattern:
         cols = np.random.default_rng(12).choice(n, size=k, replace=False)
         A1 = on_pattern(A0, cols, seed=13)
         b = np.random.default_rng(14).standard_normal(n)
-        cache = FactorizationCache()
-        cache.solve(A0, b)
-        x = cache.solve(A1, b)
-        assert np.allclose(x, np.linalg.solve(A1.toarray(), b), rtol=0.0,
-                           atol=1e-12)
-        assert cache.factorizations == 1
-        # one solve per right-hand side, and one per changed column
-        assert len(solves) == 2 + k
+        for orderings in runs(A0):
+            solves.clear()
+            cache = FactorizationCache(orderings)
+            cache.solve(A0, b)
+            x = cache.solve(A1, b)
+            assert np.allclose(x, np.linalg.solve(A1.toarray(), b), rtol=0.0,
+                               atol=1e-12)
+            assert cache.factorizations == 1
+            # one solve per right-hand side, and one per changed column
+            assert len(solves) == 2 + k
+            assert len(orderings) == 1
 
     def test_many_changed_columns_are_factored(self, monkeypatch,
                                                no_difference):
@@ -433,13 +459,16 @@ class TestFactorizationCacheSamePattern:
         A0 = dominant(n, seed=15)
         A1 = on_pattern(A0, np.arange(MAX_UPDATE_RANK + 1), seed=16)
         b = np.random.default_rng(17).standard_normal(n)
-        cache = FactorizationCache()
-        cache.solve(A0, b)
-        x = cache.solve(A1, b)
-        assert np.allclose(x, np.linalg.solve(A1.toarray(), b), rtol=0.0,
-                           atol=1e-12)
-        assert cache.factorizations == 2
-        assert len(solves) == 2  # no column of an update was solved
+        for orderings in runs(A0):
+            solves.clear()
+            cache = FactorizationCache(orderings)
+            cache.solve(A0, b)
+            x = cache.solve(A1, b)
+            assert np.allclose(x, np.linalg.solve(A1.toarray(), b), rtol=0.0,
+                               atol=1e-12)
+            assert cache.factorizations == 2
+            assert len(solves) == 2  # no column of an update was solved
+            assert len(orderings) == 1
 
     def test_new_pattern_is_factored(self, no_difference):
         n = 40
@@ -450,7 +479,7 @@ class TestFactorizationCacheSamePattern:
         A1 = on_pattern(sp.csr_matrix(dense), [2, 30], seed=19)
         assert A1.nnz == A0.nnz + 1
         b = np.random.default_rng(20).standard_normal(n)
-        cache = FactorizationCache()
+        cache = FactorizationCache([])
         cache.solve(A0, b)
         x = cache.solve(A1, b)
         assert np.allclose(x, np.linalg.solve(A1.toarray(), b), rtol=0.0,
@@ -474,9 +503,9 @@ def run_matrices(cfg):
         G = G.tocsr()[:-1, :-1]
         G.eliminate_zeros()
         _, U, _ = assembly.solve_pressure(gd, c, problem.mobility,
-                                          problem.dsrc)
+                                          problem.dsrc, [])
         op = assembly.TransportOperator(gd, U, cfg.dt, problem.dsrc,
-                                        problem.params, cfg.variant)
+                                        problem.params, cfg.variant, [])
         mats.append((G, op.jacobian((c <= 0.5).astype(float))))
     return list(zip(*mats))
 
@@ -573,7 +602,7 @@ class TestNonFiniteUpdate:
 
     def test_non_finite_column_raises_solver_error(self):
         A0 = dominant(20, seed=24)
-        cache = FactorizationCache()
+        cache = FactorizationCache([])
         cache.solve(A0, np.ones(20))
         self.poisoned_column_solve(cache)
         with pytest.raises(SolverError, match="non-finite low-rank update"):
@@ -583,14 +612,16 @@ class TestNonFiniteUpdate:
         A0 = dominant(20, seed=24)
         A1 = change_columns(A0, [3], seed=25)
         b = np.ones(20)
-        cache = FactorizationCache()
-        cache.solve(A0, b)
-        calls = self.poisoned_column_solve(cache)
-        x = cache.solve(A1, b)
-        assert len(calls) == 1  # the rest was solved with the new LU
-        assert np.allclose(x, np.linalg.solve(A1.toarray(), b), rtol=0.0,
-                           atol=1e-12)
-        assert cache.factorizations == 2
+        for orderings in runs(A0):
+            cache = FactorizationCache(orderings)
+            cache.solve(A0, b)
+            calls = self.poisoned_column_solve(cache)
+            x = cache.solve(A1, b)
+            assert len(calls) == 1  # the rest was solved with the new LU
+            assert np.allclose(x, np.linalg.solve(A1.toarray(), b), rtol=0.0,
+                               atol=1e-12)
+            assert cache.factorizations == 2
+            assert len(orderings) == 1
 
 class TestResidualNorm:
     def test_exact_solution(self):

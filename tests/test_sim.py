@@ -201,7 +201,7 @@ class FreshCache(CACHE):
     """Factors every matrix anew: the reference for the LU updates."""
 
     def solve(self, A, b):
-        fresh = CACHE()
+        fresh = CACHE(self._orderings)
         x = fresh.solve(A, b)
         self.factorizations += fresh.factorizations
         return x
@@ -267,9 +267,9 @@ class TestTransportOperatorReuse:
         gd = problem.gd
         c0 = np.zeros(gd.ndof)
         _, U, _ = assembly.solve_pressure(gd, c0, problem.mobility,
-                                          problem.dsrc)
+                                          problem.dsrc, [])
         ops = [assembly.TransportOperator(gd, U, 0.1, problem.dsrc,
-                                          problem.params, "centred",
+                                          problem.params, "centred", [],
                                           problem.dirichlet_dofs)
                for _ in range(2)]
         steps = [assembly.transport_step(op, c0,
@@ -294,7 +294,7 @@ class TestRadialProduction:
 
         def base_diagonal(dsrc):
             return assembly.TransportOperator(
-                gd, U, cfg.dt, dsrc, problem.params, "centred",
+                gd, U, cfg.dt, dsrc, problem.params, "centred", [],
                 dofs).base.diagonal()
         reaction = base_diagonal(dsrc) - base_diagonal(
             assembly.DiscreteSources(q_injection=dsrc.q_injection,
@@ -356,9 +356,9 @@ class TestPicardIteration:
         gd = problem.gd
         c0 = np.zeros(gd.ndof)
         _, U, _ = assembly.solve_pressure(gd, c0, problem.mobility,
-                                          problem.dsrc)
+                                          problem.dsrc, [])
         op = assembly.TransportOperator(gd, U, 0.1, problem.dsrc,
-                                        problem.params, "centred",
+                                        problem.params, "centred", [],
                                         problem.dirichlet_dofs)
         return (op, c0), problem.dirichlet_at(0.1)
 
