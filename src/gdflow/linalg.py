@@ -18,7 +18,9 @@ import scipy.sparse.linalg as spla
 # ||A x - b|| relative to ||b|| above which a solve fails
 RESIDUAL_TOL = 1e-10
 # changed columns a FactorizationCache solves as an update of its last LU
-MAX_UPDATE_RANK = 32
+MAX_UPDATE_RANK = 48
+# columns per LU solve of an update's D_j: wider blocks are slower per column
+_BLOCK = 8
 # iterations of a preconditioned CG solve before it fails
 CG_MAX_ITER = 50
 # SuperLU supernode relaxation and panel width (Demmel et al., SIAM J.
@@ -75,9 +77,9 @@ def _lu(A, orderings=None):
         p[:] = lu.perm_c
         q[p] = np.arange(n)
         # entry (i, j) of A is entry (p[i], p[j]) of A[q][:, q]
-        row, col = p[np.repeat(np.arange(n), np.diff(indptr))], p[indices]
-        at[:] = np.lexsort((row, col))  # column by column, rows ascending
-        Bi[:], Bp[:] = row[at], np.searchsorted(col[at], np.arange(n + 1))
+        M = sp.csr_matrix((np.arange(A.nnz), p[indices], indptr),
+                          shape=A.shape)[q].tocsc()
+        at[:], Bi[:], Bp[:] = M.data, M.indices, M.indptr
         orderings.append((indptr, indices, p, q, at, Bi, Bp))
     return lu
 
@@ -165,8 +167,9 @@ class FactorizationCache:
     on the pattern of A0 whose D = A - A0 changes the columns S is solved
     - with the LU of A0 when S is empty;
     - as x = y - Z_S (I + Z_S[S, :])^-1 y[S], y = A0^-1 b, Z_j = A0^-1 D_j
-      (Sherman-Morrison-Woodbury) when |S| <= MAX_UPDATE_RANK.  Each Z_j
-      is kept while D_j stays exactly equal, until A0 is replaced;
+      (Sherman-Morrison-Woodbury) when |S| <= MAX_UPDATE_RANK.  The new
+      Z_j are solved ``_BLOCK`` columns per LU solve, and each is kept
+      while D_j stays exactly equal, until A0 is replaced;
     - otherwise, when the kept Z_j would exceed MAX_UPDATE_RANK, or when A
       has another pattern, by factoring A, which becomes A0.
     Every solve rejects a non-finite b and checks the residual against A.
@@ -211,18 +214,22 @@ class FactorizationCache:
         split = np.searchsorted(A.indices[at], S[1:])
         parts = zip(np.split(np.searchsorted(A.indptr, at, side="right") - 1,
                              split), np.split(values, split))
-        rows = np.empty(len(S), dtype=int)
+        rows, new = np.empty(len(S), dtype=int), []
         for k, (j, (idx, val)) in enumerate(zip(S, parts)):
             key = (idx.tobytes(), val.tobytes())
-            row, kept = self._cols.get(j, (len(self._cols), None))
+            rows[k], kept = self._cols.get(j, (len(self._cols), None))
             if kept != key:
-                d = np.zeros(A.shape[0])
-                d[idx] = val
-                self._Z[row] = self._lu.solve(d)
-                if not np.isfinite(self._Z[row]).all():
-                    raise SolverError("non-finite low-rank update")
-                self._cols[j] = (row, key)
-            rows[k] = row
+                self._cols[j] = (rows[k], key)
+                new.append((rows[k], idx, val))
+        # the new D_j, _BLOCK per LU solve; after a raise, solve factors A
+        for block in (new[s:s + _BLOCK] for s in range(0, len(new), _BLOCK)):
+            D = np.zeros((A.shape[0], len(block)), order="F")
+            for c, (_, idx, val) in enumerate(block):
+                D[idx, c] = val
+            Z = self._lu.solve(D)
+            if not np.isfinite(Z).all():
+                raise SolverError("non-finite low-rank update")
+            self._Z[[row for row, _, _ in block]] = Z.T
         return S, rows
 
     def _solve_update(self, b, S, rows):

@@ -129,10 +129,8 @@ def build_discretisation(scheme, size, side, mesh_file=None):
     scheme b on ``mesh_file`` or else on ``size`` pattern replications."""
     if scheme == "a":
         return scheme_a(build_cartesian(size, side))
-    if mesh_file is not None:
-        mesh = load_mesh(mesh_file)
-    else:
-        mesh = build_structured_triangulation(size, side)
+    mesh = load_mesh(mesh_file) if mesh_file is not None \
+        else build_structured_triangulation(size, side)
     return scheme_b(mesh, build_dual(mesh))
 
 
@@ -156,11 +154,10 @@ class Problem:
 def _radial_dirichlet_dofs(gd):
     """Dofs on the two boundary edges through the origin (corner included,
     far endpoints excluded)."""
-    x, y = gd.anchors[:, 0], gd.anchors[:, 1]
-    tol = 1e-12
-    on_bottom = (np.abs(y) < tol) & (x < 1.0 - tol)
-    on_left = (np.abs(x) < tol) & (y < 1.0 - tol)
-    return np.flatnonzero(on_bottom | on_left)
+    x, y = gd.anchors.T
+    tol = 1e-12  # the bottom edge, then the left edge
+    return np.flatnonzero((np.abs(y) < tol) & (x < 1.0 - tol)
+                          | (np.abs(x) < tol) & (y < 1.0 - tol))
 
 
 def build_problem(config):
@@ -229,13 +226,11 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
                 + exc.args[1:]
             raise
         row = {
-            "step": n + 1,
-            "t": float(t_next),
+            "step": n + 1, "t": float(t_next),
             **p_info,
             **t_info,
             "factorizations": operator.cache.factorizations - factored,
-            "cmin": float(c.min()),
-            "cmax": float(c.max()),
+            "cmin": float(c.min()), "cmax": float(c.max()),
             "mass_residual": (assembly.mass_balance_residual(
                 gd, c_prev, c, config.dt, problem.dsrc, problem.params)
                 if neumann else float("nan")),
@@ -246,12 +241,10 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
             snapshot_cb(n + 1, t_next, State(gd=gd, p=p, c=c, U=U, t=t_next))
 
     wall = time.perf_counter() - start
+    l1 = l2 = float("nan")
     if problem.exact is not None:
         l1, l2 = error_norms(gd, c, problem.exact, config.t_final)
-    else:
-        l1 = l2 = float("nan")
-    report = ErrorReport(l1=l1, l2=l2, diagnostics=diagnostics,
-                         wall_time=wall)
+    report = ErrorReport(l1=l1, l2=l2, diagnostics=diagnostics, wall_time=wall)
     return State(gd=gd, p=p, c=c, U=U, t=config.t_final), report
 
 

@@ -14,7 +14,9 @@ assembly that ``TransportOperator`` replaced, and ``grad_gram``,
 assembly that the cached ``AssemblyPattern`` replaced; the products drop
 the entries that cancel.  ``assembly_pattern`` builds that pattern from
 sparse products of the operators' structure, as it was before it was
-read off the local table.
+read off the local table.  ``lexsort_ordering`` is the sort that
+``linalg._lu`` used to place the entries of A in the CSC pattern of
+A[q][:, q].
 """
 
 import numpy as np
@@ -296,3 +298,13 @@ def assembly_pattern(gd, cross=False):
         pos[:, i, j] = np.where(keys.take(at, mode="clip") == key, at, S.nnz)
     diag = np.searchsorted(keys, np.arange(n) * (n + 1)).astype(np.int32)
     return S.indptr, S.indices, pos, diag
+
+
+def lexsort_ordering(A, p):
+    """The positions in the CSR matrix A of the CSC pattern of A[q][:, q],
+    q = p^-1, and that pattern's row indices and column pointers, by
+    sorting the permuted (column, row) pairs of every entry."""
+    n = A.shape[0]
+    row, col = p[np.repeat(np.arange(n), np.diff(A.indptr))], p[A.indices]
+    at = np.lexsort((row, col))  # column by column, rows ascending
+    return at, row[at], np.searchsorted(col[at], np.arange(n + 1))

@@ -21,6 +21,7 @@ from gdflow.linalg import (
 )
 from gdflow.gd import scheme_a, scheme_b
 from gdflow.mesh import build_cartesian, build_dual, build_structured_triangulation
+from oracles import lexsort_ordering
 
 
 def scheme_b_reps(reps):
@@ -274,7 +275,8 @@ def runs(A0):
 
 
 class CountingLU:
-    """Counts the solves of a SuperLU factorisation."""
+    """Logs the shape of every right-hand side a SuperLU factorisation
+    solves: (n,) for one vector, (n, k) for a block of k columns."""
 
     def __init__(self, lu, log):
         self._lu, self._log = lu, log
@@ -282,6 +284,19 @@ class CountingLU:
     def solve(self, b):
         self._log.append(b.shape)
         return self._lu.solve(b)
+
+
+def columns(log):
+    """The right-hand-side columns in a ``CountingLU`` log."""
+    return sum(shape[1] if len(shape) == 2 else 1 for shape in log)
+
+
+def counting(monkeypatch):
+    """The ``CountingLU`` log of every LU ``linalg`` factors from now on."""
+    solves, real = [], linalg._lu
+    monkeypatch.setattr(linalg, "_lu", lambda A, *rest: CountingLU(
+        real(A, *rest), solves))
+    return solves
 
 
 class TestFactorizationCacheUpdate:
@@ -299,10 +314,7 @@ class TestFactorizationCacheUpdate:
             assert len(orderings) == 1
 
     def test_changed_columns_are_solved_once(self, monkeypatch):
-        solves = []
-        real = linalg._lu
-        monkeypatch.setattr(linalg, "_lu", lambda A, *rest: CountingLU(
-            real(A, *rest), solves))
+        solves = counting(monkeypatch)
         A0 = dominant(30, seed=4)
         cols = [2, 9, 21, 29]
         A1 = change_columns(A0, cols, seed=5)
@@ -314,9 +326,62 @@ class TestFactorizationCacheUpdate:
                 x = cache.solve(A, b)
                 assert np.allclose(x, np.linalg.solve(A.toarray(), b),
                                    rtol=0.0, atol=1e-12)
-            # one solve per right-hand side, and one per changed column
-            assert len(solves) == 4 + len(cols)
+            # one column per right-hand side, and one per changed column
+            assert columns(solves) == 4 + len(cols)
             assert cache.factorizations == 1
+            assert len(orderings) == 1
+
+    def test_more_new_columns_than_one_block(self, monkeypatch):
+        solves = counting(monkeypatch)
+        A0 = dominant(60, seed=26)
+        cols = np.random.default_rng(27).choice(60, size=20, replace=False)
+        A1 = change_columns(A0, cols, seed=28)
+        b = np.random.default_rng(29).standard_normal(60)
+        for orderings in runs(A0):
+            solves.clear()
+            cache = FactorizationCache(orderings)
+            cache.solve(A0, b)
+            x = cache.solve(A1, b)
+            assert np.allclose(x, np.linalg.solve(A1.toarray(), b),
+                               rtol=0.0, atol=1e-12)
+            blocks = [shape for shape in solves if len(shape) == 2]
+            assert len(blocks) > 1
+            assert all(k <= linalg._BLOCK for _, k in blocks)
+            assert columns(solves) == 2 + len(cols)
+            assert cache.factorizations == 1
+            assert len(orderings) == 1
+
+    def test_non_finite_column_in_a_block_raises_and_refactors(self):
+        A0 = dominant(30, seed=30)
+        A1 = change_columns(A0, [1, 8, 15, 22], seed=31)
+        b = np.ones(30)
+
+        def poisoned(cache):  # column 2 of the first block solved is NaN
+            real, calls = cache._lu, []
+
+            def solve(v):
+                calls.append(v.shape)
+                x = real.solve(v)
+                if len(calls) == 1:
+                    x[:, 2] = np.nan
+                return x
+            cache._lu = SimpleNamespace(solve=solve)
+            return calls
+        for orderings in runs(A0):
+            cache = FactorizationCache(orderings)
+            cache.solve(A0, b)
+            calls = poisoned(cache)
+            with pytest.raises(SolverError, match="non-finite low-rank"):
+                cache._update(A1)
+            assert calls == [(30, 4)]
+            cache = FactorizationCache(orderings)
+            cache.solve(A0, b)
+            calls = poisoned(cache)
+            x = cache.solve(A1, b)
+            assert calls == [(30, 4)]  # the rest was solved with the new LU
+            assert np.allclose(x, np.linalg.solve(A1.toarray(), b),
+                               rtol=0.0, atol=1e-12)
+            assert cache.factorizations == 2
             assert len(orderings) == 1
 
     @pytest.mark.parametrize("A1", [
@@ -428,10 +493,7 @@ class TestFactorizationCacheSamePattern:
     @pytest.mark.parametrize("k", [1, MAX_UPDATE_RANK])
     def test_few_changed_columns_are_an_update(self, monkeypatch,
                                                no_difference, k):
-        solves = []
-        real = linalg._lu
-        monkeypatch.setattr(linalg, "_lu", lambda A, *rest: CountingLU(
-            real(A, *rest), solves))
+        solves = counting(monkeypatch)
         n = 60
         A0 = dominant(n, seed=11)
         cols = np.random.default_rng(12).choice(n, size=k, replace=False)
@@ -445,16 +507,13 @@ class TestFactorizationCacheSamePattern:
             assert np.allclose(x, np.linalg.solve(A1.toarray(), b), rtol=0.0,
                                atol=1e-12)
             assert cache.factorizations == 1
-            # one solve per right-hand side, and one per changed column
-            assert len(solves) == 2 + k
+            # one column per right-hand side, and one per changed column
+            assert columns(solves) == 2 + k
             assert len(orderings) == 1
 
     def test_many_changed_columns_are_factored(self, monkeypatch,
                                                no_difference):
-        solves = []
-        real = linalg._lu
-        monkeypatch.setattr(linalg, "_lu", lambda A, *rest: CountingLU(
-            real(A, *rest), solves))
+        solves = counting(monkeypatch)
         n = 60
         A0 = dominant(n, seed=15)
         A1 = on_pattern(A0, np.arange(MAX_UPDATE_RANK + 1), seed=16)
@@ -550,6 +609,20 @@ class TestOrderedFactorisation:
         b = np.random.default_rng(2).standard_normal(A1.shape[0])
         x, oracle = ordered.solve(b), mmd.solve(b)
         assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("cfg", [
+        sim.RunConfig(test="lit2", scheme="a", n=12, dt=36.0),
+        sim.RunConfig(test="lit2", scheme="b", reps=8, dt=36.0),
+    ], ids=["scheme_a", "scheme_b"])
+    @pytest.mark.parametrize("system", ["pressure", "transport"])
+    def test_kept_pattern_matches_the_sort(self, cfg, system):
+        A = run_matrices(cfg)[system == "transport"][0]
+        orderings = []
+        linalg._lu(A, orderings)
+        (indptr, indices, p, q, at, Bi, Bp), = orderings
+        assert np.array_equal(q[p], np.arange(A.shape[0]))
+        for kept, oracle in zip((at, Bi, Bp), lexsort_ordering(A, p)):
+            assert np.array_equal(kept, oracle)
 
     def test_first_lu_of_a_pattern_is_the_one_shot_lu(self):
         A = dominant(40, seed=21)

@@ -255,7 +255,7 @@ class TestTransportOperatorReuse:
         assert counts == {
             "picard_iters": [2, 2, 3, 2, 2, 3] + [2] * 14,
             "backtracks": [0] * 20,
-            "factorizations": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0,
+            "factorizations": [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
                                0, 1, 0, 0, 0],
         }
 
