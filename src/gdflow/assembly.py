@@ -165,13 +165,14 @@ class TransportOperator:
 
     ``base`` = mass / dt + diffusion + the production reaction and the
     convection ``C`` define the residual F(c) = base c + C T(c) - b0 and the
-    Jacobian base + C diag(theta).  Both are assembled on the pattern P
-    of the diffusion, the cross one where the dispersion has a D12 part,
-    and share its index arrays, so that each Jacobian is formed from their
-    values alone.  Each step prescribes values on ``dirichlet_dofs``, if
-    given, whose rows of each Jacobian become identity rows in place at
-    the positions ``dirichlet_rows`` in P.  ``cache`` holds the LU of the
-    Jacobians (with ``orderings``) and lives as long as the operator.
+    Jacobian base + C diag(theta), both on the pattern P of the diffusion
+    (the cross one where the dispersion has a D12 part) and its index
+    arrays.  Each step prescribes values on ``dirichlet_dofs``, if given,
+    whose Jacobian rows become identity rows in place at the positions
+    ``dirichlet_rows`` in P.  With W = C without the Dirichlet rows, two
+    Jacobians differ by W diag(theta - theta0), so ``cache`` (with
+    ``orderings``, as long-lived as the operator) solves them by updating
+    its LU in the clamp flags that flipped.
     """
 
     def __init__(self, gd, U, dt, dsrc, params, variant, orderings,
@@ -192,12 +193,14 @@ class TransportOperator:
         self.cols = P.indices.astype(np.intp)
         self.dirichlet_dofs = dirichlet_dofs
         self.dirichlet_rows = None
+        W = C.tocsc()
         if dirichlet_dofs is not None:
             row = np.repeat(np.arange(gd.ndof), np.diff(P.indptr))
             self.dirichlet_rows = (
                 np.flatnonzero(np.isin(row, dirichlet_dofs)),
                 P.diag[dirichlet_dofs])
-        self.cache = linalg.FactorizationCache(orderings)
+            W.data[np.isin(W.indices, dirichlet_dofs)] = 0.0
+        self.cache = linalg.FactorizationCache(W, orderings)
 
     def jacobian(self, theta):
         """base + C diag(theta) on P, with identity rows on the Dirichlet
@@ -252,7 +255,7 @@ def transport_step(op, c_prev, dirichlet=None):
     backtracks = 0
     for it in range(1, PICARD_MAX_ITER + 1):
         theta = ((z >= 0.0) & (z <= 1.0)).astype(float)
-        delta = op.cache.solve(op.jacobian(theta), F)
+        delta = op.cache.solve(op.jacobian(theta), F, theta)
         c, lam = z - delta, 1.0
         F, res = residual(c)
         converged = (res <= PICARD_TOL * scale

@@ -361,7 +361,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (linalg.SolverError, assembly.PicardError,

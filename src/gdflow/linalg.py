@@ -6,7 +6,8 @@ residual; the later LUs of a pattern in a run reuse the column ordering
 of its first (``_lu``; Davis, Direct Methods for Sparse Linear Systems,
 2006).  ``spd_solver`` solves (A + m m^T) x = b for many right-hand
 sides, ``solve_pcg`` is CG preconditioned with such a solve, and
-``FactorizationCache`` solves transport systems by low-rank updates.
+``FactorizationCache`` solves a transport operator's Jacobians by
+low-rank updates in the clamp flags that flipped since its last LU.
 """
 
 from types import SimpleNamespace
@@ -35,12 +36,6 @@ class SolverError(RuntimeError):
     def __init__(self, message, residual=None):
         self.residual = residual
         super().__init__(message)
-
-
-def _as_csr(A):
-    if not sp.issparse(A):
-        raise TypeError("expected a sparse matrix")
-    return A.tocsr()
 
 
 def residual_norm(A, x, b, rank_one=None):
@@ -111,7 +106,9 @@ def spd_solver(A, rank_one=None, orderings=None):
     and a constant shift gives m^T x = s.  Each solve rejects a non-finite
     b; SolverError unless ||(A + m m^T) x - b|| <= RESIDUAL_TOL * ||b||.
     """
-    A = _as_csr(A)
+    if not sp.issparse(A):
+        raise TypeError("expected a sparse matrix")
+    A = A.tocsr()
     if not np.all(A.data):  # stored zeros would only add LU fill
         A = A.copy()
         A.eliminate_zeros()
@@ -160,94 +157,79 @@ def solve_general(A, b):
 
 
 class FactorizationCache:
-    """Solves a sequence of transport systems with few LU factorisations.
+    """Solves the Jacobians J(theta) of one transport operator with few LU
+    factorisations.
 
-    Keeps a reference matrix A0 (its own copy: a caller may change a matrix
-    in place) and its LU, ``_lu`` with the run's ``orderings``.  A new A
-    on the pattern of A0 whose D = A - A0 changes the columns S is solved
-    - with the LU of A0 when S is empty;
-    - as x = y - Z_S (I + Z_S[S, :])^-1 y[S], y = A0^-1 b, Z_j = A0^-1 D_j
-      (Sherman-Morrison-Woodbury) when |S| <= MAX_UPDATE_RANK.  The new
-      Z_j are solved ``_BLOCK`` columns per LU solve, and each is kept
-      while D_j stays exactly equal, until A0 is replaced;
-    - otherwise, when the kept Z_j would exceed MAX_UPDATE_RANK, or when A
-      has another pattern, by factoring A, which becomes A0.
-    Every solve rejects a non-finite b and checks the residual against A.
-    An update with a non-finite Z_j, a singular capacitance matrix or a
-    residual above RESIDUAL_TOL is redone by factoring A.
+    Keeps the LU of a Jacobian J0 (``_lu`` with the run's ``orderings``)
+    and its clamp flags theta0.  J(theta) = J0 + W diag(theta - theta0),
+    with ``W`` (CSC) the operator's convection without its Dirichlet rows;
+    with S the dofs whose flag flipped, J is solved
+    - with the LU of J0 when S is empty;
+    - as x = y - Z_S (I + Z_S[S, :])^-1 y[S], y = J0^-1 b, Z_S = J0^-1 W_S
+      diag(theta_S - theta0_S) (Sherman-Morrison-Woodbury) when the kept
+      J0^-1 W_j, S among them, number at most MAX_UPDATE_RANK.  The new
+      J0^-1 W_j are solved ``_BLOCK`` per LU solve and kept, per dof,
+      until J0 is replaced;
+    - otherwise by factoring J, which becomes J0.
+    Every solve rejects a non-finite b and checks the residual against J.
+    An update with a non-finite J0^-1 W_j, a singular capacitance matrix
+    or a residual above RESIDUAL_TOL is redone by factoring J.
     """
 
-    def __init__(self, orderings):
-        self._orderings = orderings
-        self._drop()
+    def __init__(self, W, orderings):
+        self._W, self._orderings = W, orderings
+        self._lu = self._Z = None
         self.factorizations = 0
 
-    def _drop(self):
-        self._A = self._lu = self._Z = None
-        self._cols = {}  # column j -> (row of Z_j in _Z, bytes of D_j)
-
-    def _factor(self, A):
-        self._drop()  # free the old LU before SuperLU allocates the new one
-        self._lu = _lu(A, self._orderings)
-        self._A = A.copy()
-        self._Z = np.zeros((MAX_UPDATE_RANK, A.shape[0]))
+    def _factor(self, J, theta):
+        self._lu = self._Z = None  # free the old LU before SuperLU's new one
+        self._lu = _lu(J, self._orderings)
+        self._theta, self._kept = theta.copy(), 0
+        self._row = np.full(len(theta), -1)  # dof j -> row of J0^-1 W_j
+        self._Z = np.zeros((MAX_UPDATE_RANK, len(theta)))
         self.factorizations += 1
 
-    def _update(self, A):
-        """The columns S in which A differs from A0 and the rows of their
-        Z_j in ``_Z``, computing the Z_j not yet kept; None when A must be
-        factored instead.  Raises SolverError on a non-finite Z_j."""
-        A0 = self._A
-        if A0 is None or A.shape != A0.shape \
-                or not np.array_equal(A.indptr, A0.indptr) \
-                or not np.array_equal(A.indices, A0.indices):
+    def _update(self, theta):
+        """The dofs S whose flag flipped since J0, computing the J0^-1 W_j
+        not yet kept; None when J must be factored instead.  Raises
+        SolverError on a non-finite J0^-1 W_j."""
+        if self._lu is None:
             return None
-        # one pattern: compare the values, form D only where they differ
-        at = np.flatnonzero(A.data != A0.data)
-        S = np.unique(A.indices[at])
-        if len(S) > MAX_UPDATE_RANK or len(self._cols) + sum(
-                j not in self._cols for j in S) > MAX_UPDATE_RANK:
+        S = np.flatnonzero(theta != self._theta)
+        new = S[self._row[S] < 0]
+        if self._kept + len(new) > MAX_UPDATE_RANK:
             return None
-        at = at[np.argsort(A.indices[at], kind="stable")]
-        values = A.data[at] - A0.data[at]
-        # the rows and values of each D_j, in ascending row order
-        split = np.searchsorted(A.indices[at], S[1:])
-        parts = zip(np.split(np.searchsorted(A.indptr, at, side="right") - 1,
-                             split), np.split(values, split))
-        rows, new = np.empty(len(S), dtype=int), []
-        for k, (j, (idx, val)) in enumerate(zip(S, parts)):
-            key = (idx.tobytes(), val.tobytes())
-            rows[k], kept = self._cols.get(j, (len(self._cols), None))
-            if kept != key:
-                self._cols[j] = (rows[k], key)
-                new.append((rows[k], idx, val))
-        # the new D_j, _BLOCK per LU solve; after a raise, solve factors A
+        self._row[new] = np.arange(self._kept, self._kept + len(new))
+        self._kept += len(new)
+        # the new W_j, _BLOCK per LU solve; after a raise, solve factors J
+        W = self._W
         for block in (new[s:s + _BLOCK] for s in range(0, len(new), _BLOCK)):
-            D = np.zeros((A.shape[0], len(block)), order="F")
-            for c, (_, idx, val) in enumerate(block):
-                D[idx, c] = val
+            D = np.zeros((len(theta), len(block)), order="F")
+            for c, j in enumerate(block):
+                at = slice(W.indptr[j], W.indptr[j + 1])
+                D[W.indices[at], c] = W.data[at]
             Z = self._lu.solve(D)
             if not np.isfinite(Z).all():
                 raise SolverError("non-finite low-rank update")
-            self._Z[[row for row, _, _ in block]] = Z.T
-        return S, rows
+            self._Z[self._row[block]] = Z.T
+        return S
 
-    def _solve_update(self, b, S, rows):
-        y = self._lu.solve(b)
-        v = np.zeros(len(self._cols))
-        v[rows] = np.linalg.solve(
-            np.eye(len(S)) + self._Z[np.ix_(rows, S)].T, y[S])
-        return y - self._Z[:len(v)].T @ v
+    def _solve_update(self, b, S, theta):
+        y, d = self._lu.solve(b), theta[S] - self._theta[S]
+        v = np.zeros(self._kept)
+        v[self._row[S]] = d * np.linalg.solve(
+            np.eye(len(S)) + self._Z[np.ix_(self._row[S], S)].T * d, y[S])
+        return y - self._Z[:self._kept].T @ v
 
-    def solve(self, A, b):
-        A = _as_csr(A)
+    def solve(self, J, b, theta):
+        """Solve J x = b for the Jacobian J of the clamp flags theta."""
         b, bnorm = _finite_rhs(b)
         try:
-            update = self._update(A)
-            if update is not None and len(update[0]):
-                return _checked(A, self._solve_update(b, *update), b, bnorm)
+            S = self._update(theta)
+            if S is not None and len(S):
+                return _checked(J, self._solve_update(b, S, theta), b, bnorm)
         except (SolverError, np.linalg.LinAlgError):
-            update = None  # redone by factoring A
-        if update is None:
-            self._factor(A)
-        return _checked(A, self._lu.solve(b), b, bnorm)
+            S = None  # redone by factoring J
+        if S is None:
+            self._factor(J, theta)
+        return _checked(J, self._lu.solve(b), b, bnorm)

@@ -20,7 +20,7 @@ from gdflow.quality import (
     limit_conformity_defect,
     quality_report,
 )
-from gdflow.sim import RunConfig, run_coupled
+from gdflow.sim import TABLE1_A, TABLE1_B, TABLE2_A, RunConfig, run_coupled
 
 from oracles import psi_direct
 
@@ -38,28 +38,26 @@ def within(value, target, rel):
     return abs(value - target) <= rel * target
 
 
-TABLE1_A_TARGETS = [  # (n, dt, L1, L2)
-    (25, 0.02, 2.38e-2, 3.23e-2),
-    (50, 0.005, 6.69e-3, 9.10e-3),
-    (100, 0.00125, 1.73e-3, 2.36e-3),
+# the paper's errors at the (mesh, dt) levels of sim's table registry
+TABLE1_A_TARGETS = [  # (L1, L2) per level of TABLE1_A
+    (2.38e-2, 3.23e-2),
+    (6.69e-3, 9.10e-3),
+    (1.73e-3, 2.36e-3),
 ]
 
-TABLE1_B_TARGETS = [  # (reps, dt, L1, L2)
-    (16, 0.02, 2.39e-2, 3.20e-2),
-    (32, 0.005, 6.70e-3, 9.04e-3),
-    (64, 0.00125, 1.73e-3, 2.38e-3),
+TABLE1_B_TARGETS = [  # (L1, L2) per level of TABLE1_B
+    (2.39e-2, 3.20e-2),
+    (6.70e-3, 9.04e-3),
+    (1.73e-3, 2.38e-3),
 ]
 
-TABLE2_DH_TARGETS = [  # (n, dt, L1)
-    (25, 0.02, 1.51e-1),
-    (50, 0.01, 1.11e-1),
-    (100, 0.005, 7.80e-2),
-]
+TABLE2_DH_TARGETS = [1.51e-1, 1.11e-1, 7.80e-2]  # L1 per level of TABLE2_A
 
 
 def test_criterion_01_table1_scheme_a():
     results = []
-    for n, dt, l1_t, l2_t in TABLE1_A_TARGETS:
+    assert len(TABLE1_A_TARGETS) == len(TABLE1_A)
+    for (n, dt), (l1_t, l2_t) in zip(TABLE1_A, TABLE1_A_TARGETS):
         _, rep = run_cached(test="analytic1", scheme="a", n=n, dt=dt)
         assert within(rep.l1, l1_t, 0.15), (n, rep.l1, l1_t)
         assert within(rep.l2, l2_t, 0.15), (n, rep.l2, l2_t)
@@ -72,7 +70,8 @@ def test_criterion_01_table1_scheme_a():
 def test_criterion_02_table1_scheme_b():
     l1s = []
     results = []
-    for reps, dt, l1_t, l2_t in TABLE1_B_TARGETS:
+    assert len(TABLE1_B_TARGETS) == len(TABLE1_B)
+    for (reps, dt), (l1_t, l2_t) in zip(TABLE1_B, TABLE1_B_TARGETS):
         _, rep = run_cached(test="analytic1", scheme="b", reps=reps, dt=dt)
         assert within(rep.l1, l1_t, 0.20), (reps, rep.l1, l1_t)
         assert within(rep.l2, l2_t, 0.20), (reps, rep.l2, l2_t)
@@ -89,14 +88,15 @@ def test_criterion_02_table1_scheme_b():
 
 def test_criterion_03_table2_dh_and_centred():
     dh_l1 = []
-    for n, dt, l1_t in TABLE2_DH_TARGETS:
+    assert len(TABLE2_DH_TARGETS) == len(TABLE2_A)
+    for (n, dt), l1_t in zip(TABLE2_A, TABLE2_DH_TARGETS):
         _, rep = run_cached(test="analytic2", scheme="a", variant="dh",
                             n=n, dt=dt)
         assert within(rep.l1, l1_t, 0.25), (n, rep.l1, l1_t)
         dh_l1.append(rep.l1)
     assert dh_l1[0] > dh_l1[1] > dh_l1[2], dh_l1
     centred_l1 = []
-    for n, dt, _ in TABLE2_DH_TARGETS:
+    for n, dt in TABLE2_A:
         _, rep = run_cached(test="analytic2", scheme="a", variant="centred",
                             n=n, dt=dt)
         centred_l1.append(rep.l1)

@@ -29,7 +29,7 @@ from gdflow.linalg import residual_norm
 from gdflow.mesh import build_cartesian, build_dual, \
     build_structured_triangulation, load_mesh
 from gdflow.physics import DispersionParams, MobilityTensor, tensor_D_field
-from gdflow.sim import RunConfig, run_coupled
+from gdflow.sim import RunConfig, build_problem, run_coupled
 import oracles
 from oracles import save_mesh, transport_jacobian, transport_matrices
 
@@ -504,6 +504,43 @@ class TestTransportOperatorProperties:
                 for part in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(block, part),
                                           getattr(sliced, part))
+
+
+class TestJacobianUpdateColumns:
+    """The transport cache solves J(theta) as an update of J(theta0) by
+    its columns W: J(theta) - J(theta0) = W diag(theta - theta0), to
+    rounding, for all flags, and W and that difference are zero on the
+    Dirichlet rows."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("cfg", [
+        dict(test="lit2", scheme="a", n=6, dt=36.0),
+        dict(test="lit2", scheme="b", reps=3, dt=36.0),
+        dict(test="analytic2", scheme="a", n=6, dt=0.04),
+        dict(test="analytic2", scheme="b", reps=3, dt=0.04),
+    ], ids=["neumann_a", "neumann_b", "dirichlet_a", "dirichlet_b"])
+    def test_jacobians_differ_by_the_update_columns(self, cfg, variant):
+        cfg = RunConfig(variant=variant, **cfg)
+        problem = build_problem(cfg)
+        gd, dofs = problem.gd, problem.dirichlet_dofs
+        rng = np.random.default_rng(0)
+        c = rng.uniform(0.0, 1.0, gd.ndof)
+        _, U, _ = solve_pressure(gd, c, problem.mobility, problem.dsrc, [])
+        op = TransportOperator(gd, U, cfg.dt, problem.dsrc, problem.params,
+                               variant, [], dofs)
+        assert (dofs is None) == (cfg.test == "lit2")
+        if cfg.test == "lit2" and cfg.scheme == "a":  # D12: cross pattern
+            assert op.base.nnz == gd.pattern(True).nnz > gd.pattern().nnz
+        W = op.cache._W.toarray()
+        scale = np.abs(op.base.toarray()) + np.abs(op.C.toarray())
+        for _ in range(5):
+            t0, t1 = rng.integers(0, 2, (2, gd.ndof)).astype(float)
+            diff = op.jacobian(t1).toarray() - op.jacobian(t0).toarray()
+            assert np.all(np.abs(diff - W * (t1 - t0))
+                          <= 4.0 * np.finfo(float).eps * scale)
+            if dofs is not None:
+                assert not W[dofs].any()
+                assert not diff[dofs].any()
 
 
 def loaded_gd(tmp_path):

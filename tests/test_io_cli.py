@@ -615,6 +615,24 @@ class TestCli:
                                 "while reading vertex\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", ["--n", "--reps"])
+    def test_mesh_info_unallocatable_size_exit_1(self, capsys, flag):
+        # 10**15 per side asks for arrays of 7 to 14 PiB, more than any
+        # address space holds: the allocation fails at once
+        assert main(["mesh-info", flag, str(10 ** 15)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: Unable to "
+                                       "allocate ")
+        assert captured.out == ""
+
+    def test_run_unallocatable_level_exit_1(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, f"test=analytic1\nscheme=b\nlevel={10 ** 15}\n"
+                      f"dt=0.1\nout_dir={tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: Unable to allocate ")
+
     def test_mesh_info_int64_overflow_exit_1(self, tmp_path, capsys):
         path = tmp_path / "overflow.mesh"
         path.write_text("vertices 3\n0 0\n1 0\n0 1\ntriangles 1\n"
@@ -659,7 +677,7 @@ class TestCli:
         assert "area" not in captured.out
 
     def test_run_solver_failure_exit_2(self, tmp_path, capsys, monkeypatch):
-        def fail(self, A, b):
+        def fail(self, J, b, theta):
             raise linalg.SolverError("forced singular transport matrix")
         monkeypatch.setattr(linalg.FactorizationCache, "solve", fail)
         path = write_config(

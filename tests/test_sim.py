@@ -200,9 +200,9 @@ CACHE = linalg.FactorizationCache
 class FreshCache(CACHE):
     """Factors every matrix anew: the reference for the LU updates."""
 
-    def solve(self, A, b):
-        fresh = CACHE(self._orderings)
-        x = fresh.solve(A, b)
+    def solve(self, J, b, theta):
+        fresh = CACHE(self._W, self._orderings)
+        x = fresh.solve(J, b, theta)
         self.factorizations += fresh.factorizations
         return x
 
