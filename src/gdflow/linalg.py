@@ -5,7 +5,8 @@ Every system is solved with a SuperLU factorisation on narrow supernodes
 residual; the later LUs of a pattern in a run reuse the column ordering
 of its first (``_lu``; Davis, Direct Methods for Sparse Linear Systems,
 2006).  ``spd_solver`` solves (A + m m^T) x = b for many right-hand
-sides, ``solve_pcg`` is CG preconditioned with such a solve, and
+sides by pinning A on its own pattern, so the pressure shares the
+transport's ordering; ``solve_pcg`` is CG preconditioned with it, and
 ``FactorizationCache`` solves a transport operator's Jacobians by
 low-rank updates in the clamp flags that flipped since its last LU.
 """
@@ -98,31 +99,30 @@ def _checked(A, x, b, bnorm, rank_one=None):
 
 
 def spd_solver(A, rank_one=None, orderings=None):
-    """Factor the nonzeros of A once (see ``_lu``); return ``solve(b)`` for
-    (A + m m^T) x = b.
-
+    """Factor A on its stored pattern once (``_lu``); return ``solve(b)``
+    for (A + m m^T) x = b, which rejects a non-finite b and raises
+    SolverError unless ||(A + m m^T) x - b|| <= RESIDUAL_TOL * ||b||.
     With m = ``rank_one``, A must annihilate constants, or no solve passes:
-    the last dof is pinned, A x0 = b - s m is solved with s = sum(b)/sum(m),
-    and a constant shift gives m^T x = s.  Each solve rejects a non-finite
-    b; SolverError unless ||(A + m m^T) x - b|| <= RESIDUAL_TOL * ||b||.
-    """
+    its stored last row and column become those of I (SolverError if the
+    diagonal is not stored), A x0 = b - s m is solved for s = sum(b)/sum(m)
+    and a constant shift gives m^T x = s."""
     if not sp.issparse(A):
         raise TypeError("expected a sparse matrix")
     A = A.tocsr()
-    if not np.all(A.data):  # stored zeros would only add LU fill
-        A = A.copy()
-        A.eliminate_zeros()
     if rank_one is None:
         direct = _lu(A, orderings).solve
     else:
         m = np.asarray(rank_one, dtype=float)
-        msum = float(m.sum())
-        pinned = _lu(A[:-1, :-1], orderings)
+        msum, P, n = float(m.sum()), A.copy(), A.shape[0] - 1
+        last = slice(P.indptr[n], P.indptr[-1])
+        if not np.any(P.indices[last] == n):
+            raise SolverError("the pinned last row stores no diagonal")
+        P.data[P.indices == n], P.data[last] = 0.0, P.indices[last] == n
+        pinned = _lu(P, orderings)
 
         def direct(b):
             s = b.sum() / msum
-            x = np.zeros_like(b)
-            x[:-1] = pinned.solve((b - s * m)[:-1])
+            x = pinned.solve(np.append((b - s * m)[:-1], 0.0))
             return x + (s - m @ x) / msum
 
     def solve(b):
@@ -151,8 +151,7 @@ def solve_pcg(A, b, precond):
 
 
 def solve_general(A, b):
-    """Solve a nonsymmetric sparse system (the plain LU path of
-    ``spd_solver`` needs no symmetry)."""
+    """Solve a nonsymmetric sparse system by ``spd_solver``'s plain LU."""
     return spd_solver(A)(b)
 
 

@@ -16,11 +16,13 @@ the entries that cancel.  ``assembly_pattern`` builds that pattern from
 sparse products of the operators' structure, as it was before it was
 read off the local table.  ``lexsort_ordering`` is the sort that
 ``linalg._lu`` used to place the entries of A in the CSC pattern of
-A[q][:, q].
+A[q][:, q], and ``sliced_spd_solve`` the rank-one solve of
+``linalg.spd_solver`` before it pinned the last dof on A's pattern.
 """
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from gdflow import assembly
 
@@ -308,3 +310,16 @@ def lexsort_ordering(A, p):
     row, col = p[np.repeat(np.arange(n), np.diff(A.indptr))], p[A.indices]
     at = np.lexsort((row, col))  # column by column, rows ascending
     return at, row[at], np.searchsorted(col[at], np.arange(n + 1))
+
+
+def sliced_spd_solve(A, b, m):
+    """x with (A + m m^T) x = b, A annihilating constants: with
+    s = sum(b)/sum(m), the LU of A[:-1, :-1] without its stored zeros
+    solves for x0, x0[-1] = 0, against b - s m, and x = x0 + (s - m^T x0)
+    / sum(m)."""
+    A = A.tocsr()[:-1, :-1]
+    A.eliminate_zeros()
+    s = b.sum() / m.sum()
+    x = np.zeros_like(b)
+    x[:-1] = spla.splu(A.tocsc()).solve((b - s * m)[:-1])
+    return x + (s - m @ x) / m.sum()

@@ -242,3 +242,41 @@ def test_criterion_10_determinism(tmp_path):
     assert files[0] == files[1]
     print("criterion 10 PASS: repeated 25x25 run produced a bit-identical "
           "errors.csv")
+
+
+BOUNDED_SLACK = 1e-9       # dh keeps c in [0, 1] up to rounding
+CENTRED_EXCURSION = 0.05   # by how much centred leaves [0, 1] when refined
+
+
+def c_range(rep):
+    return (min(row["cmin"] for row in rep.diagnostics),
+            max(row["cmax"] for row in rep.diagnostics))
+
+
+def test_criterion_11_boundedness():
+    """The stabilised variant keeps c in [0, 1] on every step of criterion
+    3's Table 2 A runs; the centred one leaves it at n = 50 and 100 (at
+    n = 25 it overshoots by about 1%, which is not gated)."""
+    dh = []
+    for n, dt in TABLE2_A:
+        _, rep = run_cached(test="analytic2", scheme="a", variant="dh",
+                            n=n, dt=dt)
+        for row in rep.diagnostics:
+            assert -BOUNDED_SLACK <= row["cmin"], (n, row)
+            assert row["cmax"] <= 1.0 + BOUNDED_SLACK, (n, row)
+        dh.append(c_range(rep))
+    centred = []
+    for n, dt in TABLE2_A:
+        if n < 50:
+            continue
+        _, rep = run_cached(test="analytic2", scheme="a", variant="centred",
+                            n=n, dt=dt)
+        cmin, cmax = c_range(rep)
+        assert max(-cmin, cmax - 1.0) > CENTRED_EXCURSION, (n, cmin, cmax)
+        centred.append((n, cmin, cmax))
+    print(f"criterion 11 PASS: dh c in [{min(lo for lo, _ in dh):.2e}, "
+          f"1 + {max(hi for _, hi in dh) - 1.0:.2e}] on every step, within "
+          f"{BOUNDED_SLACK:.0e} of [0, 1]; centred leaves [0, 1] by more "
+          f"than {CENTRED_EXCURSION} -- "
+          + ", ".join(f"{n}x{n}: c in [{lo:.3f}, {hi:.3f}]"
+                      for n, lo, hi in centred))

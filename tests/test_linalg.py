@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gdflow.linalg import (
 )
 from gdflow.gd import scheme_a, scheme_b
 from gdflow.mesh import build_cartesian, build_dual, build_structured_triangulation
-from oracles import lexsort_ordering
+from oracles import lexsort_ordering, sliced_spd_solve
 
 
 def scheme_b_reps(reps):
@@ -115,6 +116,47 @@ class TestSpdSolver:
         assert np.allclose(solve(np.zeros(gd.ndof)), 0.0)
         with pytest.raises(SolverError, match="non-finite"):
             solve(np.full(gd.ndof, np.inf))
+
+    @pytest.mark.parametrize("scheme", ["a", "b"])
+    @pytest.mark.parametrize("system", ["pressure", "quality"])
+    def test_pinned_solve_matches_the_sliced_solve(self, scheme, system):
+        """Pinning the last dof on A's pattern solves what the LU of
+        A[:-1, :-1] without its stored zeros solved: the lit2 pressure
+        matrix with the mean functional, the unit-square Gram matrix with
+        the measures (as quality._elliptic), each with right-hand sides
+        of the sums it meets."""
+        rng = np.random.default_rng(4)
+        if system == "pressure":
+            mesh = {"n": 12} if scheme == "a" else {"reps": 8}
+            problem = sim.build_problem(sim.RunConfig(
+                test="lit2", scheme=scheme, dt=36.0, **mesh))
+            gd = problem.gd
+            c = rng.uniform(0.0, 1.0, gd.ndof)
+            A, _ = assembly.pressure_matrix(gd, c, problem.mobility)
+            m = gd.recon_measures / gd.domain_area
+            b = rng.standard_normal(gd.ndof)
+            rhs = [problem.dsrc.pressure_rhs(), b - b.mean()]
+        else:
+            gd = scheme_a(build_cartesian(12, 1.0)) if scheme == "a" \
+                else scheme_b_reps(8)
+            A, m = gd.grad_gram(), gd.recon_measures
+            rhs = [rng.standard_normal(gd.ndof) + 1.0]
+        data = A.data.copy()
+        solve = spd_solver(A, rank_one=m)
+        for b in rhs:
+            x, oracle = solve(b), sliced_spd_solve(A, b, m)
+            assert np.linalg.norm(x - oracle) \
+                <= 1e-12 * np.linalg.norm(oracle)
+        assert np.array_equal(A.data, data)  # pinned in a copy
+
+    def test_last_row_without_stored_diagonal_raises(self):
+        # the last row stores a zero at (2, 0) but no (2, 2) to pin
+        A = sp.csr_matrix((np.array([1.0, -1.0, -1.0, 1.0, 0.0]),
+                           np.array([0, 1, 0, 1, 0]), np.array([0, 2, 4, 5])),
+                          shape=(3, 3))
+        with pytest.raises(SolverError, match="diagonal"):
+            spd_solver(A, rank_one=np.ones(3))
+        assert np.array_equal(A.data, [1.0, -1.0, -1.0, 1.0, 0.0])
 
 
 class TestSolvePcg:
@@ -590,16 +632,28 @@ def test_supernodes_keep_relax_within_panel_size():
     assert 1 <= SUPERNODES["relax"] <= SUPERNODES["panel_size"]
 
 
+def pinned_matrix(A, m):
+    """The matrix that ``spd_solver(A, m)`` factors, as it hands it to
+    ``_lu``."""
+    factored, real = [], linalg._lu
+
+    def recording(M, orderings=None):
+        factored.append(M)
+        return real(M, orderings)
+    with mock.patch.object(linalg, "_lu", recording):
+        spd_solver(A, rank_one=m)
+    return factored[0]
+
+
 def run_matrices(cfg):
     """A pinned pressure matrix and a transport Jacobian of ``cfg`` at two
-    concentrations: two matrices on each of the two patterns."""
+    concentrations: two matrices on each of the (one or two) patterns."""
     problem = sim.build_problem(cfg)
     gd, mats = problem.gd, []
     for seed in (0, 1):
         c = np.random.default_rng(seed).uniform(0.0, 1.0, gd.ndof)
         G, _ = assembly.pressure_matrix(gd, c, problem.mobility)
-        G = G.tocsr()[:-1, :-1]
-        G.eliminate_zeros()
+        G = pinned_matrix(G, gd.recon_measures / gd.domain_area)
         _, U, _ = assembly.solve_pressure(gd, c, problem.mobility,
                                           problem.dsrc, [])
         op = assembly.TransportOperator(gd, U, cfg.dt, problem.dsrc,
@@ -662,6 +716,22 @@ class TestOrderedFactorisation:
         assert np.array_equal(q[p], np.arange(A.shape[0]))
         for kept, oracle in zip((at, Bi, Bp), lexsort_ordering(A, p)):
             assert np.array_equal(kept, oracle)
+
+    @pytest.mark.parametrize("cfg, shared", [
+        (sim.RunConfig(test="lit2", scheme="b", reps=8, dt=36.0), True),
+        (sim.RunConfig(test="analytic1", scheme="a", n=12, dt=0.02), True),
+        (sim.RunConfig(test="lit2", scheme="a", n=12, dt=36.0), False),
+    ], ids=["scheme_b", "scheme_a", "scheme_a_cross"])
+    def test_pinned_pressure_is_on_the_transport_pattern(self, cfg, shared):
+        """One ordering serves both systems unless D12 puts the transport
+        on the cross pattern."""
+        (G, _), (J, _) = run_matrices(cfg)
+        assert shared == (np.array_equal(G.indptr, J.indptr)
+                          and np.array_equal(G.indices, J.indices))
+        orderings = []
+        linalg._lu(G, orderings)
+        linalg._lu(J, orderings)
+        assert len(orderings) == 2 - shared
 
     def test_first_lu_of_a_pattern_is_the_one_shot_lu(self):
         A = dominant(40, seed=21)[1](np.zeros(40))

@@ -91,7 +91,7 @@ class TestCoercivity:
         factored, solves = lu_calls
         coercivity_constant(gd)
         assert len(solves) > 2   # several power iterations ...
-        assert factored == [(gd.ndof - 1, gd.ndof - 1)]   # ... one pinned LU
+        assert factored == [(gd.ndof, gd.ndof)]   # ... one pinned LU
 
 
 class TestConsistency:
@@ -199,9 +199,9 @@ class TestSharedFactorisation:
     def test_three_indicators_factor_once(self, lu_calls):
         factored, _ = lu_calls
         first, second = make_a(6), make_b(3)
-        pinned = [(gd.ndof - 1, gd.ndof - 1) for gd in (first, second)]
+        pinned = [(gd.ndof, gd.ndof) for gd in (first, second)]
         quality_report(first)
-        assert factored == pinned[:1]   # none of shape (n, n)
+        assert factored == pinned[:1]   # the pinned LU and no other
         quality_report(second)
         assert factored == pinned
         quality_report(first)

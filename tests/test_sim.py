@@ -167,26 +167,35 @@ class TestRunCoupled:
 
 
 class TestRunDeterminism:
-    def test_repeated_run_is_bitwise_equal(self, monkeypatch, tmp_path):
-        """M != 1: every step factors the pressure and transport patterns
-        again; each run orders them afresh, so a repeated run is the same
-        to the bit."""
+    @pytest.mark.parametrize("cfg, orderings", [
+        (RunConfig(test="lit2", scheme="b", reps=8, dt=36.0,
+                   t_final=6 * 36.0), 1),
+        (RunConfig(test="lit2", scheme="a", n=12, dt=36.0,
+                   t_final=6 * 36.0), 2),
+    ], ids=["scheme_b", "scheme_a_cross"])
+    def test_repeated_run_is_bitwise_equal(self, monkeypatch, tmp_path, cfg,
+                                           orderings):
+        """M != 1: every step factors the pinned pressure and the transport
+        again.  Each run orders their patterns afresh, one for both on
+        scheme b, and the pressure's and the cross one on scheme a with
+        D12, so a repeated run is the same to the bit."""
         specs, real = [], linalg.spla.splu
 
         def recording(A, **kwargs):
             specs.append(kwargs["permc_spec"])
             return real(A, **kwargs)
         monkeypatch.setattr(linalg.spla, "splu", recording)
-        cfg = RunConfig(test="lit2", scheme="b", reps=8, dt=36.0,
-                        t_final=6 * 36.0)
         runs = []
         for tag in ("first", "second"):
+            first = len(specs)
             state, report = run_coupled(cfg)
             path = tmp_path / f"diagnostics_{tag}.csv"
             io_cli.write_diagnostics(path, report.diagnostics)
             runs.append((state, path.read_bytes()))
-            # one minimum-degree LU per pattern: pressure and transport
-            assert specs.count("MMD_AT_PLUS_A") == 2 * len(runs)
+            # one minimum-degree LU per pattern, the first at the first
+            # pressure LU
+            assert specs[first] == "MMD_AT_PLUS_A"
+            assert specs.count("MMD_AT_PLUS_A") == orderings * len(runs)
         assert specs.count("NATURAL") >= 2 * 5 * 2
         (s1, d1), (s2, d2) = runs
         for name in ("c", "p", "U"):
