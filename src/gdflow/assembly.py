@@ -91,6 +91,7 @@ def solve_pressure(gd, c_prev, mobility, dsrc, orderings):
 
     Returns (p, U, info); U is the per-gradient-cell velocity
     -A(Pi c_prev) grad p, and info records the discrete pressure mean.
+    b = dsrc.pressure_rhs() sums to 0, as ``linalg.spd_solver`` needs.
     """
     G, a = pressure_matrix(gd, c_prev, mobility)
     m = gd.recon_measures

@@ -242,10 +242,7 @@ def _cmd_run(args):
                   out / f"fields_{step}.vtk", velocity=state.U)
 
     state, report = sim.run_coupled(config, snapshot_cb=snapshot)
-    write_error_rows(out / "errors.csv", [{
-        "scheme": config.scheme, "variant": config.variant,
-        "mesh": config.mesh_label, "dt": config.dt,
-        "l1": report.l1, "l2": report.l2, "ratio_l1": float("nan")}])
+    write_error_rows(out / "errors.csv", [sim.error_row(config, report)])
     write_diagnostics(out / "diagnostics.csv", report.diagnostics)
     print(f"run complete: {config.test} scheme {config.scheme} "
           f"({config.mesh_label}, dt={config.dt}) "
@@ -254,22 +251,9 @@ def _cmd_run(args):
     return 0
 
 
-_SUITES = {
-    "ta1": [("analytic1", "a", "centred", sim.TABLE1_A),
-            ("analytic1", "b", "centred", sim.TABLE1_B)],
-    "ta2a": [("analytic2", "a", "centred", sim.TABLE2_A),
-             ("analytic2", "a", "upstream", sim.TABLE2_A),
-             ("analytic2", "a", "dh", sim.TABLE2_A)],
-    "ta2b": [("analytic2", "b", "centred", sim.TABLE2_B),
-             ("analytic2", "b", "upstream", sim.TABLE2_B),
-             ("analytic2", "b", "dh", sim.TABLE2_B)],
-}
-
-
 def _cmd_table(args):
-    rows = []
-    for test, scheme, variant, levels in _SUITES[args.suite]:
-        rows.extend(sim.convergence_suite(test, scheme, variant, levels))
+    rows = [row for column in sim.STUDIES[args.suite]
+            for row in sim.convergence_suite(column)]
     path = Path(args.out_dir) / "errors.csv"
     write_error_rows(path, rows)
     for row in rows:
@@ -336,7 +320,7 @@ def build_parser():
     p_run.set_defaults(func=_cmd_run)
 
     p_table = sub.add_parser("table", help="reproduce an error table")
-    p_table.add_argument("--suite", required=True, choices=sorted(_SUITES))
+    p_table.add_argument("--suite", required=True, choices=sorted(sim.STUDIES))
     p_table.add_argument("--out-dir", default="out")
     p_table.set_defaults(func=_cmd_table)
 

@@ -105,7 +105,8 @@ def spd_solver(A, rank_one=None, orderings=None):
     With m = ``rank_one``, A must annihilate constants, or no solve passes:
     its stored last row and column become those of I (SolverError if the
     diagonal is not stored), A x0 = b - s m is solved for s = sum(b)/sum(m)
-    and a constant shift gives m^T x = s."""
+    and a constant shift gives m^T x = s.  A x rounds in proportion to s,
+    so the check needs |sum(b)| << ||b||; every pressure b sums to 0."""
     if not sp.issparse(A):
         raise TypeError("expected a sparse matrix")
     A = A.tocsr()

@@ -1,6 +1,6 @@
 """Coupled time loop (pressure -> Darcy velocity -> implicit transport per
 step), the four built-in test configurations, error measurement against the
-analytical radial solution, and convergence suites."""
+analytical radial solution, and the registry of convergence studies."""
 
 import time
 from dataclasses import dataclass, field, replace
@@ -248,27 +248,40 @@ def run_coupled(config, c0=None, snapshot_cb=None, problem=None):
     return State(gd=gd, p=p, c=c, U=U, t=config.t_final), report
 
 
-def convergence_suite(test, scheme, variant, levels):
-    """Run one table column: ``levels`` pairs a mesh parameter with a time
-    step; returns one row dict per level with inter-level L1 ratios."""
-    rows = []
-    size_field = "n" if scheme == "a" else "reps"
-    for mesh_param, dt in levels:
-        config = RunConfig(test=test, scheme=scheme, variant=variant, dt=dt,
-                           **{size_field: mesh_param})
-        _, report = run_coupled(config)
-        rows.append({
-            "scheme": scheme, "variant": variant,
-            "mesh": config.mesh_label, "dt": dt,
+def error_row(config, report, coarser=None):
+    """One errors.csv row; ``coarser`` is the previous level's row."""
+    return {"scheme": config.scheme, "variant": config.variant,
+            "mesh": config.mesh_label, "dt": config.dt,
             "l1": report.l1, "l2": report.l2,
-            "ratio_l1": (rows[-1]["l1"] / report.l1 if rows else float("nan")),
-            "max_picard": report.max_picard_iters(),
-        })
+            "ratio_l1": coarser["l1"] / report.l1 if coarser else float("nan")}
+
+
+def convergence_suite(column):
+    """Run one column of RunConfigs at successive levels, one row each."""
+    rows = []
+    for config in column:
+        _, report = run_coupled(config)
+        rows.append(error_row(config, report, rows[-1] if rows else None))
     return rows
 
 
-# mesh/time-step pairings of the published error tables
-TABLE1_A = ((25, 0.02), (50, 0.005), (100, 0.00125))
-TABLE1_B = ((16, 0.02), (32, 0.005), (64, 0.00125))
-TABLE2_A = ((25, 0.02), (50, 0.01), (100, 0.005))
-TABLE2_B = ((16, 0.02), (32, 0.01), (64, 0.005))
+def _column(test, scheme, variant, levels):
+    """One scheme and variant of ``test`` at each (mesh, dt) level."""
+    size = "n" if scheme == "a" else "reps"
+    return tuple(RunConfig(test=test, scheme=scheme, variant=variant, dt=dt,
+                           **{size: mesh}) for mesh, dt in levels)
+
+
+# the paper's error tables: study -> columns of one scheme and variant
+_T2A = ((25, 0.02), (50, 0.01), (100, 0.005))
+_T2B = ((16, 0.02), (32, 0.01), (64, 0.005))
+STUDIES = {
+    "ta1": (_column("analytic1", "a", "centred",
+                    ((25, 0.02), (50, 0.005), (100, 0.00125))),
+            _column("analytic1", "b", "centred",
+                    ((16, 0.02), (32, 0.005), (64, 0.00125)))),
+    "ta2a": tuple(_column("analytic2", "a", v, _T2A)
+                  for v in assembly.VARIANTS),
+    "ta2b": tuple(_column("analytic2", "b", v, _T2B)
+                  for v in assembly.VARIANTS),
+}

@@ -29,7 +29,7 @@ from gdflow.linalg import residual_norm
 from gdflow.mesh import build_cartesian, build_dual, \
     build_structured_triangulation, load_mesh
 from gdflow.physics import DispersionParams, MobilityTensor, tensor_D_field
-from gdflow.sim import RunConfig, build_problem, run_coupled
+from gdflow.sim import TESTS, RunConfig, build_problem, run_coupled
 import oracles
 from oracles import save_mesh, transport_jacobian, transport_matrices
 
@@ -94,6 +94,17 @@ class TestDiscreteSources:
         off_edge = (x > 1e-12) & (y > 1e-12)
         assert np.all(dsrc.q_production[off_edge] == 0.0)
         assert np.isclose(dsrc.pressure_rhs().sum(), 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("size", [{"n": 8}, {"reps": 4}], ids=["a", "b"])
+    @pytest.mark.parametrize("test", TESTS)
+    def test_pressure_rhs_sums_to_zero(self, test, size):
+        # spd_solver's residual check with the mean functional holds only
+        # for |sum(b)| << ||b||: every built-in test's pressure b has it
+        scheme = "a" if "n" in size else "b"
+        dt = 0.1 if test.startswith("analytic") else 18.0
+        b = build_problem(RunConfig(test=test, scheme=scheme, dt=dt,
+                                    **size)).dsrc.pressure_rhs()
+        assert abs(b.sum()) <= 1e-14 * np.linalg.norm(b), b.sum()
 
 
 @pytest.mark.parametrize("make", [make_a, make_b], ids=["a", "b"])

@@ -1,5 +1,6 @@
 import io
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -481,9 +482,11 @@ class TestCli:
         assert "tri4" in capsys.readouterr().out
 
     def test_table_rows_and_ratios(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(io_cli, "_SUITES", {"ta1": [
-            ("analytic1", "a", "centred", ((4, 0.1), (8, 0.05))),
-            ("analytic1", "b", "centred", ((1, 0.1), (2, 0.05)))]})
+        a4 = RunConfig(test="analytic1", scheme="a", n=4, dt=0.1)
+        b1 = RunConfig(test="analytic1", scheme="b", reps=1, dt=0.1)
+        monkeypatch.setattr(sim, "STUDIES", {"ta1": (
+            (a4, replace(a4, n=8, dt=0.05)),
+            (b1, replace(b1, reps=2, dt=0.05)))})
         assert main(["table", "--suite", "ta1",
                      "--out-dir", str(tmp_path)]) == 0
         header, *rows = (tmp_path / "errors.csv").read_text().splitlines()
@@ -498,6 +501,20 @@ class TestCli:
             assert float(second["ratio_l1"]) == pytest.approx(ratio,
                                                               rel=1e-5)
         assert f"wrote {tmp_path / 'errors.csv'}" in capsys.readouterr().out
+
+    def test_run_and_table_write_the_same_row(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, "test=analytic2\nscheme=b\nlevel=2\n"
+                                      "variant=dh\ndt=0.1\n")
+        assert main(["run", "--config", str(path),
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        monkeypatch.setattr(sim, "STUDIES", {"ta2b": ((RunConfig(
+            test="analytic2", scheme="b", variant="dh", reps=2, dt=0.1),),)})
+        assert main(["table", "--suite", "ta2b",
+                     "--out-dir", str(tmp_path / "table")]) == 0
+        run, table = ((tmp_path / d / "errors.csv").read_bytes()
+                      for d in ("run", "table"))
+        assert run == table
+        assert run.count(b"\n") == 2
 
     def test_run_out_dir_overrides_config(self, tmp_path):
         path = write_config(

@@ -135,7 +135,7 @@ class TestRunCoupled:
                         np.array_equal(s.c[dofs], problem.dirichlet_at(t))))
         assert held == [True] * cfg.resolved().n_steps
 
-    TABLE1_COARSE = RunConfig(test="analytic1", scheme="a", n=25, dt=0.02)
+    TA1_COARSE = RunConfig(test="analytic1", scheme="a", n=25, dt=0.02)
 
     def test_every_step_uses_config_dt(self, monkeypatch):
         seen = []
@@ -145,7 +145,7 @@ class TestRunCoupled:
             seen.append(op.dt)
             return real(op, *args, **kwargs)
         monkeypatch.setattr(assembly, "transport_step", recording)
-        run_coupled(self.TABLE1_COARSE)
+        run_coupled(self.TA1_COARSE)
         assert len(seen) == 20
         assert all(dt == 0.02 for dt in seen), sorted(set(seen))
 
@@ -159,7 +159,7 @@ class TestRunCoupled:
             calls.append(A.shape)
             return real(A, *rest)
         monkeypatch.setattr(linalg, "_lu", counting)
-        _, report = run_coupled(self.TABLE1_COARSE)
+        _, report = run_coupled(self.TA1_COARSE)
         assert len(calls) <= 23
         # the pressure LU, then the transport ones counted per step
         assert len(calls) == 1 + sum(row["factorizations"]
@@ -396,8 +396,9 @@ class TestPicardIteration:
 
 class TestConvergenceSuite:
     def test_rows_and_ratios(self):
-        rows = convergence_suite("analytic1", "a", "centred",
-                                 [(8, 0.05), (16, 0.025)])
+        rows = convergence_suite((
+            RunConfig(test="analytic1", scheme="a", n=8, dt=0.05),
+            RunConfig(test="analytic1", scheme="a", n=16, dt=0.025)))
         assert len(rows) == 2
         assert np.isnan(rows[0]["ratio_l1"])
         assert np.isclose(rows[1]["ratio_l1"], rows[0]["l1"] / rows[1]["l1"])
